@@ -36,13 +36,10 @@ from .diagrams import (
 from .seq_algorithm import (
     Stage,
     alg_A,
-    alg_A_iter,
-    alg_A_raw,
     alg_A_stages,
     candidate,
     column_seq,
     gamma_forward,
-    inverse_permutation,
     ranking,
 )
 from .diagram_algorithm import (
@@ -50,7 +47,6 @@ from .diagram_algorithm import (
     alg_W,
     branch_plan,
     gamma_via_diagrams,
-    row_partition,
     row_survival,
 )
 from .inverse_algorithm import (

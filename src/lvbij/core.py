@@ -5,6 +5,7 @@ integer sequences, Levi-block weights, and the doubled half-sum of positive
 roots.  No floating point is ever involved.
 """
 
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -22,10 +23,11 @@ __all__ = [
 
 
 def _check_int(value) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(value, int) or isinstance(value, bool):
+    # operator.index admits integer-likes such as numpy.int64, raises TypeError
+    # on floats and returns a plain int; bool is an int subclass, so refuse it here
+    if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
-    return value
+    return operator.index(value)
 
 
 def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:

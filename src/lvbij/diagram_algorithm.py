@@ -1,9 +1,10 @@
 """Weight-diagrams form of the forward map.
 
-One call fills the first column of both output diagrams, splits the surviving
-rows into branches (one per distinct first-column entry), adjusts each
-branch's residual input to account for the other branches, recurses with the
-opposite rounding mode, and splices the branch outputs back in.
+Each node of Algorithm W fills the first column of its rows in both output
+diagrams, splits its surviving rows into branches (one per distinct
+first-column entry), adjusts each branch's residual input to account for the
+other branches, and hands each branch on, with the opposite rounding mode, to
+fill the next columns of the same rows.
 """
 
 from dataclasses import dataclass
@@ -11,29 +12,21 @@ from dataclasses import dataclass
 from .core import validate_omega_pair, _int_tuple
 from .diagrams import DiagramPair, WeightDiagram, eta
 from .seq_algorithm import (
-    column_seq,
-    inverse_permutation,
-    ranking,
     _check_eps,
     _check_permutation,
     _check_rows,
+    _column_seq,
+    _inverse_permutation,
+    _ranking,
 )
 
 __all__ = [
     "BranchPlan",
     "row_survival",
-    "row_partition",
     "branch_plan",
     "alg_W",
     "gamma_via_diagrams",
 ]
-
-
-def _check_weakly_decreasing(iota) -> tuple[int, ...]:
-    iota = _int_tuple(iota)
-    if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
-        raise ValueError(f"iota must be weakly decreasing, got {list(iota)}")
-    return iota
 
 
 def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
@@ -44,11 +37,17 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     surviving rows with the same iota value so far.
     """
     alpha = _int_tuple(alpha)
-    iota = _check_weakly_decreasing(iota)
+    iota = _int_tuple(iota)
+    if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
+        raise ValueError(f"iota must be weakly decreasing, got {list(iota)}")
     if len(alpha) != len(iota):
         raise ValueError("alpha and iota must have equal length")
     sigma = _check_permutation(sigma, len(alpha))
-    inv = inverse_permutation(sigma)
+    return _row_survival(alpha, _inverse_permutation(sigma), iota)
+
+
+def _row_survival(alpha: tuple[int, ...], inv: tuple[int, ...],
+                  iota: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     out = []
     branch = 0
     survivors_in_branch = 0
@@ -64,27 +63,9 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def row_partition(alpha, iota) -> tuple[tuple[int, int], ...]:
-    """Like row_survival but counting every row, with no survival filtering."""
-    alpha = _int_tuple(alpha)
-    iota = _check_weakly_decreasing(iota)
-    if len(alpha) != len(iota):
-        raise ValueError("alpha and iota must have equal length")
-    out = []
-    branch = 0
-    rows_in_branch = 0
-    for i, value in enumerate(iota, start=1):
-        if i == 1 or value != iota[i - 2]:
-            branch += 1
-            rows_in_branch = 0
-        rows_in_branch += 1
-        out.append((branch, rows_in_branch))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BranchPlan:
-    """Everything one recursion level decides before making its recursive calls."""
+    """Everything one node of Algorithm W decides before handing on its branches."""
 
     sigma: tuple[int, ...]
     iota: tuple[int, ...]
@@ -99,12 +80,16 @@ class BranchPlan:
 
 def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     """Rank and fill the first column, then sort the surviving rows into branches."""
-    _check_eps(eps)
+    eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    sigma = ranking(eps, alpha, nu)
-    inv = inverse_permutation(sigma)
-    iota = column_seq(eps, alpha, nu, sigma)
-    assignments = row_survival(alpha, sigma, iota)
+    return _branch_plan(alpha, nu, eps)
+
+
+def _branch_plan(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> BranchPlan:
+    sigma = _ranking(eps, alpha, nu)
+    inv = _inverse_permutation(sigma)
+    iota = _column_seq(eps, alpha, nu, sigma)
+    assignments = _row_survival(alpha, inv, iota)
     k = len(set(iota))
 
     survivor_rows: list[list[int]] = [[] for _ in range(k)]
@@ -146,29 +131,47 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     )
 
 
+def _column_counts(alpha: tuple[int, ...]) -> list[int]:
+    # entry j-1 counts the rows reaching column j
+    return [sum(1 for a in alpha if a >= j) for j in range(1, max(alpha, default=0) + 1)]
+
+
 def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> tuple[list[list[int]], list[list[int]]]:
-    ell = len(alpha)
-    plan = branch_plan(alpha, nu, eps)
-    x_rows = [[plan.iota[i]] for i in range(ell)]
-    y_rows = [[plan.iota[i] + ell - 2 * (i + 1) + 1] for i in range(ell)]
-
-    star = []  # per branch: column counts of its sub_alpha
-    for sub in plan.sub_alpha:
-        width = max(sub, default=0)
-        star.append([sum(1 for a in sub if a >= j) for j in range(1, width + 1)])
-
-    for x in range(plan.k):
-        if not plan.survivor_rows[x]:
-            continue
-        sub_x, sub_y = _alg_W(plan.sub_alpha[x], plan.sub_nu_hat[x], -eps)
-        for pos, i in enumerate(plan.survivor_rows[x]):
-            for jp, value in enumerate(sub_x[pos], start=1):
-                offset = sum(star[xp][jp - 1] for xp in range(x) if jp <= len(star[xp]))
-                offset -= sum(
-                    star[xp][jp - 1] for xp in range(x + 1, plan.k) if jp <= len(star[xp])
-                )
-                x_rows[i - 1].append(value + offset)
-            y_rows[i - 1].extend(sub_y[pos])
+    x_rows: list[list[int]] = [[] for _ in alpha]
+    y_rows: list[list[int]] = [[] for _ in alpha]
+    # A node is one branch input, with the top-level index of each of its rows
+    # in position order, and the offset that its left-diagram column c gets
+    # from the branches beside its ancestors, held as offsets[shift + c].  A
+    # parent is popped before its children, so every row grows left to right.
+    work = [(alpha, nu, eps, range(len(alpha)), [0] * max(alpha), 0)]
+    while work:
+        sub_alpha, sub_nu, sub_eps, rows, offsets, shift = work.pop()
+        ell = len(sub_alpha)
+        plan = _branch_plan(sub_alpha, sub_nu, sub_eps)
+        for p, (r, value) in enumerate(zip(rows, plan.iota)):
+            x_rows[r].append(value + offsets[shift])
+            y_rows[r].append(value + ell - 2 * p - 1)
+        if plan.k == 1:
+            branch_offsets = [(offsets, shift + 1)]
+        else:
+            # column c of branch x is shifted by the rows the other branches
+            # have in that column: up for those before x, down for those after
+            stars = [_column_counts(sub) for sub in plan.sub_alpha]
+            totals = _column_counts(tuple(a for sub in plan.sub_alpha for a in sub))
+            before = [0] * len(totals)
+            branch_offsets = []
+            for star in stars:
+                branch_offsets.append(([
+                    offsets[shift + 1 + c] + 2 * before[c] + h - totals[c]
+                    for c, h in enumerate(star)
+                ], 0))
+                for c, h in enumerate(star):
+                    before[c] += h
+        for x, (child_offsets, child_shift) in enumerate(branch_offsets):
+            if plan.survivor_rows[x]:
+                child_rows = [rows[i - 1] for i in plan.survivor_rows[x]]
+                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows,
+                             child_offsets, child_shift))
 
     if __debug__:
         # a branch may arrange its own rows freely, so only the multiset of
@@ -183,7 +186,7 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
     The left diagram has shape-class dom(alpha); the right diagram is its
     image under the column shift map.
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
     x_rows, y_rows = _alg_W(alpha, nu, eps)
     return DiagramPair(WeightDiagram(x_rows), WeightDiagram(y_rows))
@@ -192,5 +195,5 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
 def gamma_via_diagrams(alpha, nu) -> tuple[int, ...]:
     """The forward bijection read off the right output diagram."""
     alpha, nu = validate_omega_pair(alpha, nu)
-    pair = alg_W(alpha.parts, nu, -1)
-    return eta(pair.right)
+    _, y_rows = _alg_W(alpha.parts, nu, -1)
+    return eta(y_rows)

@@ -179,6 +179,17 @@ def _column_positions(Y: WeightDiagram) -> dict[tuple[int, int], int]:
     return positions
 
 
+def _adjacent_steps_ok(Y: WeightDiagram, eps: int) -> bool:
+    # condition 1 of is_distinguished, eps = -1 for odd parity and +1 for even:
+    # horizontal neighbours differ by 0 or eps*(-1)^(j+1), j the left column
+    for row in Y.rows:
+        for j in range(1, len(row)):
+            step = row[j] - row[j - 1]
+            if step != 0 and step != (eps if j % 2 == 1 else -eps):
+                return False
+    return True
+
+
 def is_distinguished(X, parity: str = "odd") -> bool:
     """Check the four-condition characterization of algorithm outputs.
 
@@ -199,14 +210,8 @@ def is_distinguished(X, parity: str = "odd") -> bool:
             if a - b < 2:
                 return False
 
-    # condition 1: horizontal neighbours differ by 0 or by a prescribed sign
-    flip = 0 if parity == "odd" else 1
-    for row in Y.rows:
-        for j in range(1, len(row)):
-            step = row[j] - row[j - 1]
-            allowed = -1 if (j + flip) % 2 == 1 else 1
-            if step != 0 and step != allowed:
-                return False
+    if not _adjacent_steps_ok(Y, -1 if parity == "odd" else 1):
+        return False
 
     positions = _column_positions(Y)
 

@@ -2,13 +2,14 @@
 
 A weakly decreasing weight splits into clumps (maximal runs with adjacent
 gaps at most 1).  From each clump a maximal-length subsequence with gaps at
-least 2 becomes the first column of a diagram; the rest of the clump recurses
-with the opposite anchoring, and its rows attach to the unique first-column
-entry within distance 1 on the prescribed side.
+least 2 becomes the first column of a diagram; the rest of the clump is
+handled the same way with the opposite anchoring, and each first-column entry
+it yields attaches to the unique entry of its parent clump's first column
+within distance 1 on the prescribed side.
 """
 
 from .core import OmegaPair, _int_tuple
-from .diagrams import WeightDiagram, concat, e_inverse, kappa, shape_class
+from .diagrams import WeightDiagram, e_inverse, kappa, shape_class
 from .seq_algorithm import _check_eps
 
 __all__ = [
@@ -35,7 +36,10 @@ def _check_dominant(lam) -> tuple[int, ...]:
 
 def clumps(lam) -> tuple[tuple[int, ...], ...]:
     """Split a weakly decreasing sequence at every gap of 2 or more."""
-    lam = _check_dominant(lam)
+    return _clumps(_check_dominant(lam))
+
+
+def _clumps(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     out = []
     start = 0
     for i in range(1, len(lam)):
@@ -55,8 +59,11 @@ def majuscule_extract(clump, eps: int) -> tuple[tuple[int, ...], tuple[int, ...]
     closest to the anchor is taken; the remainder is re-sorted, so the choice
     only fixes determinism of the intermediate state.
     """
-    _check_eps(eps)
-    clump = _check_dominant(clump)
+    eps = _check_eps(eps)
+    return _majuscule_extract(_check_dominant(clump), eps)
+
+
+def _majuscule_extract(clump: tuple[int, ...], eps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     taken = []
     if eps == -1:
         last = None
@@ -84,36 +91,48 @@ def majuscule_extract(clump, eps: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return extracted, remainder
 
 
+def _alg_B(lam: tuple[int, ...], eps: int) -> list[list[int]]:
+    rows: list[list[int]] = []
+    # A node is the remainder of one clump, with the first column extracted
+    # from that clump as (value, row) targets; the top node has none.  A parent
+    # is popped before its children, so every row grows left to right.
+    work = [(lam, eps, None)]
+    while work:
+        lam, eps, targets = work.pop()
+        used = set()
+        for clump in _clumps(lam):
+            first_col, remainder = _majuscule_extract(clump, eps)
+            placed = []
+            for value in first_col:
+                if targets is None:
+                    rows.append([])
+                    row = rows[-1]
+                else:
+                    # the targets were extracted with the parent's rounding mode, -eps
+                    matches = [i for i, (t, _) in enumerate(targets) if value - t in (0, -eps)]
+                    if len(matches) != 1:
+                        raise InternalConsistencyError(
+                            f"entry {value} has {len(matches)} attachment targets in "
+                            f"{[t for t, _ in targets]}")
+                    if matches[0] in used:
+                        raise InternalConsistencyError(
+                            f"two rows attach to first-column entry {targets[matches[0]][0]}")
+                    used.add(matches[0])
+                    row = targets[matches[0]][1]
+                row.append(value)
+                placed.append((value, row))
+            if remainder:
+                work.append((remainder, -eps, placed))
+    return rows
+
+
 def alg_B(lam, eps: int = -1) -> WeightDiagram:
     """Build the right-hand diagram of the pair from a weakly decreasing weight."""
-    _check_eps(eps)
-    lam = _check_dominant(lam)
-    pieces = []
-    for clump in clumps(lam):
-        first_col, remainder = majuscule_extract(clump, eps)
-        rows = [[v] for v in first_col]
-        if remainder:
-            sub = alg_B(remainder, -eps)
-            used = set()
-            for sub_row in sub.rows:
-                matches = [i for i, v in enumerate(first_col) if sub_row[0] - v in (0, eps)]
-                if len(matches) != 1:
-                    raise InternalConsistencyError(
-                        f"row {list(sub_row)} has {len(matches)} attachment targets in {list(first_col)}"
-                    )
-                target = matches[0]
-                if target in used:
-                    raise InternalConsistencyError(
-                        f"two rows attach to first-column entry {first_col[target]}"
-                    )
-                used.add(target)
-                rows[target].extend(sub_row)
-        pieces.append(WeightDiagram(rows))
-    return concat(*pieces)
+    eps = _check_eps(eps)
+    return WeightDiagram(_alg_B(_check_dominant(lam), eps))
 
 
 def gamma_inverse(lam) -> OmegaPair:
     """The inverse bijection: undo the column shift, then read off shape and row data."""
-    lam = _check_dominant(lam)
-    X = e_inverse(alg_B(lam, -1))
+    X = e_inverse(WeightDiagram(_alg_B(_check_dominant(lam), -1)))
     return OmegaPair(shape_class(X), kappa(X))

@@ -10,7 +10,6 @@ doubled half-sum of positive roots.
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    Partition,
     as_partition,
     dom,
     two_rho,
@@ -25,11 +24,8 @@ __all__ = [
     "ranking",
     "column_seq",
     "alg_A",
-    "alg_A_raw",
-    "alg_A_iter",
     "alg_A_stages",
     "gamma_forward",
-    "inverse_permutation",
 ]
 
 
@@ -38,7 +34,8 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _check_eps(eps: int) -> int:
+def _check_eps(eps) -> int:
+    eps = _check_int(eps)
     if eps not in (-1, 1):
         raise ValueError(f"eps must be -1 or 1, got {eps!r}")
     return eps
@@ -64,9 +61,8 @@ def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
     return sigma
 
 
-def inverse_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of a permutation in one-line notation (1-based values)."""
-    sigma = _check_permutation(sigma, len(sigma))
+def _inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    # one-line notation, 1-based values
     inv = [0] * len(sigma)
     for i, p in enumerate(sigma, start=1):
         inv[p - 1] = i
@@ -80,10 +76,10 @@ def candidate(eps: int, alpha: Sequence[int], nu: Sequence[int], i: int,
     Averages what is left of nu[i] after subtracting overlaps with earlier rows
     and adding overlaps with later rows; eps = -1 rounds up, eps = +1 rounds down.
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
     ell = len(alpha)
-    _check_int(i)
+    i = _check_int(i)
     if not 1 <= i <= ell:
         raise ValueError(f"row index {i} out of range 1..{ell}")
     Ia = frozenset(_check_int(j) for j in Ia)
@@ -113,8 +109,12 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
     lexicographically; for eps = +1 back to front, to the numerically largest
     row minimizing (candidate, -length, entry).
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
+    return _ranking(eps, alpha, nu)
+
+
+def _ranking(eps: int, alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
     ell = len(alpha)
     totals = _overlap_totals(alpha)
     # running sum, per unchosen row, of min-overlaps with the chosen set
@@ -155,11 +155,15 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
     against its already-computed neighbour (the previous entry for eps = -1,
     the next one for eps = +1).
     """
-    _check_eps(eps)
+    eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
+    return _column_seq(eps, alpha, nu, _check_permutation(sigma, len(alpha)))
+
+
+def _column_seq(eps: int, alpha: tuple[int, ...], nu: tuple[int, ...],
+                sigma: tuple[int, ...]) -> tuple[int, ...]:
     ell = len(alpha)
-    sigma = _check_permutation(sigma, ell)
-    inv = inverse_permutation(sigma)
+    inv = _inverse_permutation(sigma)
     totals = _overlap_totals(alpha)
     raw = []
     for p in range(1, ell + 1):
@@ -190,42 +194,8 @@ def _reduce_input(alpha, nu, sigma, mu1):
     return alpha2, nu2
 
 
-def _alg_A_rec(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    sigma = ranking(-1, alpha, nu)
-    mu1 = column_seq(-1, alpha, nu, sigma)
-    if alpha[0] == 1:
-        return mu1
-    alpha2, nu2 = _reduce_input(alpha, nu, sigma, mu1)
-    return mu1 + _alg_A_rec(alpha2, nu2)
-
-
-def _check_partition_input(alpha, nu) -> tuple[Partition, tuple[int, ...]]:
-    alpha = as_partition(alpha)
-    nu = _int_tuple(nu)
-    if len(nu) != alpha.ell:
-        raise ValueError(f"nu has length {len(nu)}, expected {alpha.ell}")
-    return alpha, nu
-
-
-def alg_A(alpha, nu) -> tuple[int, ...]:
-    """Blockwise weight of length n for a partition and a compatible sequence.
-
-    Block j is weakly decreasing of the j-th column length; the blocks
-    distribute each nu entry across its row.  Requires nu dominant with
-    respect to alpha; see alg_A_raw for the unvalidated recursive core.
-    """
-    alpha, nu = validate_omega_pair(alpha, nu)
-    return _alg_A_rec(alpha.parts, nu)
-
-
-def alg_A_raw(alpha, nu) -> tuple[int, ...]:
-    """Same recursion as alg_A but without the dominance requirement on nu."""
-    alpha, nu = _check_partition_input(alpha, nu)
-    return _alg_A_rec(alpha.parts, nu)
-
-
 class Stage(NamedTuple):
-    """One step of the iterative form: the reduced input and its ranking and block."""
+    """One stage of Algorithm A: the reduced input and its ranking and block."""
 
     alpha: tuple[int, ...]
     nu: tuple[int, ...]
@@ -233,31 +203,47 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
-    """Stage table of the iterative form; one stage per column of alpha."""
-    alpha, nu = _check_partition_input(alpha, nu)
-    a, v = alpha.parts, nu
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[Stage]:
     stages = []
     while True:
-        sigma = ranking(-1, a, v)
-        mu = column_seq(-1, a, v, sigma)
-        stages.append(Stage(a, v, sigma, mu))
-        if a[0] == 1:
-            return tuple(stages)
-        a, v = _reduce_input(a, v, sigma, mu)
+        sigma = _ranking(-1, alpha, nu)
+        mu = _column_seq(-1, alpha, nu, sigma)
+        stages.append(Stage(alpha, nu, sigma, mu))
+        if alpha[0] == 1:
+            return stages
+        alpha, nu = _reduce_input(alpha, nu, sigma, mu)
 
 
-def alg_A_iter(alpha, nu) -> tuple[int, ...]:
-    """Iterative form of alg_A; agrees with the recursion on every input."""
-    out: list[int] = []
-    for stage in alg_A_stages(alpha, nu):
-        out.extend(stage.mu)
-    return tuple(out)
+def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v for stage in _stages(alpha, nu) for v in stage.mu)
+
+
+def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
+    """Stage table of Algorithm A; one stage per column of alpha.
+
+    Accepts any nu of the right length, dominant with respect to alpha or not.
+    """
+    alpha = as_partition(alpha)
+    nu = _int_tuple(nu)
+    if len(nu) != alpha.ell:
+        raise ValueError(f"nu has length {len(nu)}, expected {alpha.ell}")
+    return tuple(_stages(alpha.parts, nu))
+
+
+def alg_A(alpha, nu) -> tuple[int, ...]:
+    """Blockwise weight of length n for a partition and a compatible sequence.
+
+    Block j is weakly decreasing of the j-th column length; the blocks
+    distribute each nu entry across its row.  Requires nu dominant with
+    respect to alpha; the blocks are the mu of the stages of alg_A_stages.
+    """
+    alpha, nu = validate_omega_pair(alpha, nu)
+    return _alg_A(alpha.parts, nu)
 
 
 def gamma_forward(alpha, nu) -> tuple[int, ...]:
     """The forward bijection: dominant rearrangement of alg_A plus the root offset."""
     alpha, nu = validate_omega_pair(alpha, nu)
-    mu = _alg_A_rec(alpha.parts, nu)
+    mu = _alg_A(alpha.parts, nu)
     rho2 = two_rho(alpha)
     return dom(m + r for m, r in zip(mu, rho2, strict=True))

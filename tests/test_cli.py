@@ -135,3 +135,12 @@ def test_parse_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["forward", "--alpha", "a,b", "--nu", "1"])
     assert exc.value.code == 2
+
+
+def test_deep_single_row_through_cli(capsys):
+    code, out, _ = run(capsys, "forward", "--alpha", "1200", "--nu", "0")
+    assert code == 0
+    assert out.strip() == ",".join(["0"] * 1200)
+    code, out, _ = run(capsys, "inverse", "--lambda", ",".join(["0"] * 1200))
+    assert code == 0
+    assert out.strip() == "alpha=1200 nu=0"

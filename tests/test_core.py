@@ -2,8 +2,11 @@ import pytest
 
 from lvbij import (
     Partition,
+    alg_W,
     conjugate,
     dom,
+    gamma_forward,
+    gamma_inverse,
     is_dominant_wrt,
     levi_blocks,
     norm_sq,
@@ -133,3 +136,25 @@ def test_validate_omega_pair():
         validate_omega_pair([2, 2], [1, 3])
     with pytest.raises(ValueError):
         validate_omega_pair([2, 2], [1])
+
+
+def test_integer_likes_give_plain_ints_and_bool_float_are_refused():
+    np = pytest.importorskip("numpy")
+    alpha, nu = [4, 3, 2, 1, 1], [15, 14, 9, 4, 4]
+    lam = gamma_forward(np.array(alpha, dtype=np.int64), np.array(nu, dtype=np.int64))
+    assert lam == gamma_forward(alpha, nu)
+    back = gamma_inverse(np.array(lam, dtype=np.int64))
+    assert back == gamma_inverse(lam)
+    pair = alg_W(np.array(alpha, dtype=np.int64), np.array(nu, dtype=np.int64), np.int64(-1))
+    assert pair == alg_W(alpha, nu, -1)
+    values = [*lam, *back.alpha, *back.nu, *(v for row in pair.right.rows for v in row)]
+    assert all(type(v) is int for v in values)
+    for bad in (2.0, True):
+        with pytest.raises(TypeError):
+            gamma_forward([2, bad], [1, 1])
+        with pytest.raises(TypeError):
+            gamma_forward([2], [bad])
+        with pytest.raises(TypeError):
+            gamma_inverse([3, bad])
+    with pytest.raises(TypeError):
+        alg_W([1], [1], True)

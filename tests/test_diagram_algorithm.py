@@ -15,7 +15,6 @@ from lvbij import (
     is_distinguished,
     kappa,
     omega_pairs,
-    row_partition,
     row_survival,
 )
 
@@ -31,11 +30,6 @@ def test_row_survival_examples():
 def test_row_survival_rejects_non_monotone_iota():
     with pytest.raises(ValueError):
         row_survival([1, 2], (1, 2), [3, 4])
-
-
-def test_row_partition_counts_every_row():
-    assert row_partition([1, 2, 3], [5, 5, 4]) == ((1, 1), (1, 2), (2, 1))
-    assert row_partition([4, 1], [4, 4]) == ((1, 1), (1, 2))
 
 
 def test_alg_W_golden_example():
@@ -55,6 +49,14 @@ def test_alg_W_single_box():
         pair = alg_W([1], [9], eps)
         assert pair.left == WeightDiagram([[9]])
         assert pair.right == WeightDiagram([[9]])
+
+
+def test_alg_W_deep_single_row():
+    # one worklist node per column: a row longer than the recursion limit must still work
+    for eps in (-1, 1):
+        pair = alg_W([1200], [0], eps)
+        assert pair.left == pair.right == WeightDiagram([[0] * 1200])
+    assert alg_W([1200], [1201], -1).right == WeightDiagram([[2] + [1] * 1199])
 
 
 def test_alg_W_validation():
@@ -172,10 +174,13 @@ def test_cat_decomposition_over_full_branches():
             inv = [0] * ell
             for i, p in enumerate(plan.sigma, start=1):
                 inv[p - 1] = i
-            groups = row_partition(alpha, plan.iota)
+            # branch x holds every position whose iota value is the x-th distinct one
             full_rows = [[] for _ in range(plan.k)]
-            for i, (x, _) in enumerate(groups, start=1):
-                full_rows[x - 1].append(i)
+            x = 0
+            for i, value in enumerate(plan.iota, start=1):
+                if i > 1 and value != plan.iota[i - 2]:
+                    x += 1
+                full_rows[x].append(i)
             full_alpha = [
                 tuple(alpha[inv[i - 1] - 1] for i in rows) for rows in full_rows
             ]

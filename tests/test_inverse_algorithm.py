@@ -10,9 +10,11 @@ from lvbij import (
     alg_B,
     alg_W,
     clumps,
+    eta,
     gamma_forward,
     gamma_inverse,
     is_dominant_wrt,
+    kappa,
     majuscule_extract,
     omega_pairs,
 )
@@ -144,3 +146,33 @@ def test_section_agreement_small():
         lam = tuple(sorted((rng.randint(-5, 5) for _ in range(k)), reverse=True))
         alpha, nu = gamma_inverse(lam)
         assert alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right
+
+
+def test_deep_inputs_under_default_recursion_limit():
+    # one stack entry per column: 1200 equal entries give a single row of 1200 boxes
+    assert alg_B((0,) * 1200, -1) == WeightDiagram([[0] * 1200])
+    assert gamma_inverse([0] * 1200) == ((1200,), (0,))
+
+
+def random_partition(rng, n, largest):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, min(n, largest)))
+        n -= parts[-1]
+    return sorted(parts, reverse=True)
+
+
+def test_roundtrip_large_random():
+    # wide and tall shapes up to n = 2000, each map checked against the others
+    rng = random.Random(59)
+    for n, largest in ((2000, 2000), (2000, 40), (1000, 300), (500, 5)):
+        alpha = random_partition(rng, n, largest)
+        nu = [rng.randint(-9, 9) for _ in alpha]
+        for i in range(1, len(alpha)):
+            if alpha[i] == alpha[i - 1]:
+                nu[i] = min(nu[i], nu[i - 1])
+        lam = gamma_forward(alpha, nu)
+        assert gamma_inverse(lam) == (alpha, tuple(nu))
+        pair = alg_W(alpha, nu, -1)
+        assert kappa(pair.left) == tuple(nu)
+        assert eta(pair.right) == lam

@@ -4,8 +4,6 @@ import pytest
 
 from lvbij import (
     alg_A,
-    alg_A_iter,
-    alg_A_raw,
     alg_A_stages,
     candidate,
     column_seq,
@@ -146,6 +144,10 @@ def test_alg_A_examples():
     assert alg_A([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
     assert alg_A([3, 2, 2, 1], [15, 8, 8, 4]) == (4, 4, 4, 4, 5, 4, 4, 6)
     assert alg_A([2], [7]) == (4, 3)
+    assert alg_A([1, 1], [3, 1]) == (3, 1)
+    assert alg_A([1], [0]) == (0,)
+    # the stage table also runs on nu that is not dominant with respect to alpha
+    assert [s.mu for s in alg_A_stages([2, 2], [1, 2])] == [(1, 1), (1, 0)]
 
 
 def test_alg_A_validation():
@@ -155,14 +157,6 @@ def test_alg_A_validation():
         alg_A([2, 2], [1, 2])
     with pytest.raises(ValueError):
         alg_A([2, 2], [1, 2, 3])
-    # the raw entry accepts non-dominant nu
-    assert alg_A_raw([2, 2], [1, 2]) == alg_A_raw([2, 2], [1, 2])
-
-
-def test_alg_A_iter_examples():
-    assert alg_A_iter([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
-    assert alg_A_iter([1, 1], [3, 1]) == (3, 1)
-    assert alg_A_iter([1], [0]) == (0,)
 
 
 def test_alg_A_stage_table_golden():
@@ -173,11 +167,6 @@ def test_alg_A_stage_table_golden():
         ((2, 1), (6, 5), (2, 1), (5, 4)),
         ((1,), (2,), (1,), (2,)),
     ]
-
-
-def test_alg_A_equals_iter_exhaustive():
-    for alpha, nu in omega_pairs(9, 1):
-        assert alg_A(alpha, nu) == alg_A_iter(alpha, nu)
 
 
 def test_block_sum_conservation_and_block_monotonicity():
@@ -238,3 +227,10 @@ def test_gamma_forward_matches_dom_of_shifted_weight():
         mu = alg_A(alpha, nu)
         rho2 = two_rho(alpha)
         assert gamma_forward(alpha, nu) == dom(a + r for a, r in zip(mu, rho2))
+
+
+def test_deep_single_row_under_default_recursion_limit():
+    # one stage per column: a row longer than the recursion limit must still work
+    assert gamma_forward([1200], [0]) == (0,) * 1200
+    assert gamma_forward([1200], [2401]) == (3,) + (2,) * 1199
+    assert alg_A([1200], [-1]) == (0,) * 1199 + (-1,)
