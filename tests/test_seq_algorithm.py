@@ -144,8 +144,6 @@ def test_alg_A_examples():
     assert alg_A([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
     assert alg_A([3, 2, 2, 1], [15, 8, 8, 4]) == (4, 4, 4, 4, 5, 4, 4, 6)
     assert alg_A([2], [7]) == (4, 3)
-    assert alg_A([1, 1], [3, 1]) == (3, 1)
-    assert alg_A([1], [0]) == (0,)
     # the stage table also runs on nu that is not dominant with respect to alpha
     assert [s.mu for s in alg_A_stages([2, 2], [1, 2])] == [(1, 1), (1, 0)]
 
@@ -157,6 +155,13 @@ def test_alg_A_validation():
         alg_A([2, 2], [1, 2])
     with pytest.raises(ValueError):
         alg_A([2, 2], [1, 2, 3])
+
+
+def test_alg_A_iter_examples():
+    # alg_A runs as a loop over stages, not as a recursion
+    assert alg_A([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
+    assert alg_A([1, 1], [3, 1]) == (3, 1)
+    assert alg_A([1], [0]) == (0,)
 
 
 def test_alg_A_stage_table_golden():
