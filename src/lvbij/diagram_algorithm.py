@@ -15,9 +15,10 @@ from .seq_algorithm import (
     _check_eps,
     _check_permutation,
     _check_rows,
-    _column_seq,
     _inverse_permutation,
-    _ranking,
+    _length_counts,
+    _min_overlaps,
+    _rank_and_fill,
 )
 
 __all__ = [
@@ -86,9 +87,8 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
 
 
 def _branch_plan(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> BranchPlan:
-    sigma = _ranking(eps, alpha, nu)
+    sigma, iota = _rank_and_fill(eps, alpha, nu)
     inv = _inverse_permutation(sigma)
-    iota = _column_seq(eps, alpha, nu, sigma)
     assignments = _row_survival(alpha, inv, iota)
     k = len(set(iota))
 
@@ -109,14 +109,20 @@ def _branch_plan(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> Branc
     sub_nu = [
         tuple(nu[inv[i - 1] - 1] - iota[i - 1] for i in rows) for rows in survivor_rows
     ]
+    # a row of length a in branch x loses min(a, b) for each row b of the
+    # branches before x and gains it for each row of the branches after x;
+    # rows of equal length in one branch share this, so it is summed over
+    # per-branch length counts with running prefix counts
+    counts = [_length_counts(sub) for sub in sub_alpha]
+    total = _length_counts(a for sub in sub_alpha for a in sub)
+    before = dict.fromkeys(total, 0)
     sub_nu_hat = []
-    for x in range(k):
-        corrected = []
-        for a, v in zip(sub_alpha[x], sub_nu[x]):
-            v -= sum(min(a, b) for xp in range(x) for b in sub_alpha[xp])
-            v += sum(min(a, b) for xp in range(x + 1, k) for b in sub_alpha[xp])
-            corrected.append(v)
-        sub_nu_hat.append(tuple(corrected))
+    for x, own in enumerate(counts):
+        # per length b: rows after x minus rows before x
+        shift = _min_overlaps({b: c - 2 * before[b] - own.get(b, 0) for b, c in total.items()})
+        sub_nu_hat.append(tuple(v + shift[a] for a, v in zip(sub_alpha[x], sub_nu[x])))
+        for b, c in own.items():
+            before[b] += c
 
     return BranchPlan(
         sigma=sigma,

@@ -8,9 +8,9 @@ identities.
 """
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import Iterator
 
 from .core import (
     Partition,

@@ -5,6 +5,11 @@ function orders the rows, a column function chooses the entries of the
 current block, and the residual input is reduced and fed back in.  The
 forward bijection is the dominant rearrangement of the result plus the
 doubled half-sum of positive roots.
+
+Rows of equal length share their overlap with all other rows and with the
+rows ranked so far, so a stage groups its rows by length and ranks and fills
+them in one pass that compares only the heads of the length classes: O(l*d)
+per stage for l rows of d distinct lengths.
 """
 
 from typing import Iterable, NamedTuple, Sequence
@@ -93,58 +98,91 @@ def candidate(eps: int, alpha: Sequence[int], nu: Sequence[int], i: int,
     return _ceil_div(numer, ai) if eps == -1 else numer // ai
 
 
-def _overlap_totals(alpha: tuple[int, ...]) -> list[int]:
-    # M[j] = sum over all other rows k of min(alpha[j], alpha[k])
-    return [
-        sum(min(a, b) for k, b in enumerate(alpha) if k != j)
-        for j, a in enumerate(alpha)
-    ]
-
-
 def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...]:
     """Rank the rows, returning a permutation in one-line notation.
 
     For eps = -1 positions are assigned front to back, each going to the
     numerically smallest row maximizing (candidate, length, entry)
     lexicographically; for eps = +1 back to front, to the numerically largest
-    row minimizing (candidate, -length, entry).
+    row minimizing (candidate, -length, entry).  Rows of equal length are
+    picked in the order of their entries, so each pick compares only the
+    heads of the d length classes: O(l*d) for l rows.
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    return _ranking(eps, alpha, nu)
+    return _rank_and_fill(eps, alpha, nu)[0]
 
 
-def _ranking(eps: int, alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
+def _length_counts(alpha: Iterable[int]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for a in alpha:
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def _min_overlaps(weights: dict[int, int]) -> dict[int, int]:
+    # for each length a: sum over lengths b of weights[b] * min(a, b), in one
+    # sweep over the lengths in increasing order
+    out = {}
+    low = 0  # sum of weights[b] * b over b < a
+    high = sum(weights.values())  # sum of weights[b] over b >= a
+    for a in sorted(weights):
+        out[a] = low + a * high
+        low += weights[a] * a
+        high -= weights[a]
+    return out
+
+
+def _class_totals(alpha: tuple[int, ...]) -> dict[int, int]:
+    # T_a = sum over the other rows of min(a, length), one entry per distinct length a
+    return {a: t - a for a, t in _min_overlaps(_length_counts(alpha)).items()}
+
+
+def _rank_and_fill(eps: int, alpha: tuple[int, ...],
+                   nu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # One pass computes ranking's sigma and column_seq's iota for that sigma.
+    # Rows of length a share the overlap total T_a with all other rows and the
+    # overlap C_a with the rows already picked, so within a class the key
+    # depends only on the entry: the class is a queue ordered by (-nu, index)
+    # for eps = -1 and by (nu, -index) for eps = +1, and each pick compares
+    # the d class heads.  Keys of different classes differ in their length, so
+    # they never tie.  With v = -eps * nu and slack = T_a - 2 C_a, both modes
+    # maximize (ceil((v + slack) / a), a, v), and the row's candidate is
+    # -eps times the first component.  For eps = +1 the picked rows are the
+    # ones after the row, and T_a - 2 * before = 2 * after - T_a, so the
+    # candidate is also column_seq's numerator over the length.
     ell = len(alpha)
-    totals = _overlap_totals(alpha)
-    # running sum, per unchosen row, of min-overlaps with the chosen set
-    chosen_overlap = [0] * ell
-    remaining = list(range(ell))
-    order: list[int] = []  # 0-based rows in position order (front to back or back to front)
-    for _ in range(ell):
-        best = None
-        best_key = None
-        for j in remaining:
-            if eps == -1:
-                numer = nu[j] + totals[j] - 2 * chosen_overlap[j]
-                key = (_ceil_div(numer, alpha[j]), alpha[j], nu[j])
-                better = best_key is None or key > best_key
-            else:
-                numer = nu[j] - totals[j] + 2 * chosen_overlap[j]
-                key = (numer // alpha[j], -alpha[j], nu[j])
-                better = best_key is None or key < best_key or (key == best_key and j > best)
-            if better:
-                best, best_key = j, key
-        remaining.remove(best)
-        for j in remaining:
-            chosen_overlap[j] += min(alpha[j], alpha[best])
-        order.append(best)
+    order = sorted(range(ell), key=nu.__getitem__, reverse=True)  # by (-nu, index)
     if eps == 1:
         order.reverse()
+    queues: dict[int, list[int]] = {}
+    for j in reversed(order):  # each queue's head goes last, for pop()
+        queues.setdefault(alpha[j], []).append(j)
+    live = [[a, total, queues[a]] for a, total in _class_totals(alpha).items()]
     sigma = [0] * ell
-    for pos, j in enumerate(order, start=1):
-        sigma[j] = pos
-    return tuple(sigma)
+    iota = [0] * ell
+    bound = None  # running min (eps = -1) or max (eps = +1) of the raw entries
+    for step in range(ell):
+        best = best_key = None
+        for cls in live:
+            a, slack, queue = cls
+            v = -eps * nu[queue[-1]]
+            key = (-(-(v + slack) // a), a, v)
+            if best_key is None or key > best_key:
+                best, best_key = cls, key
+        a, _, queue = best
+        j = queue.pop()
+        if not queue:
+            live.remove(best)
+        for cls in live:
+            cls[1] -= 2 * min(cls[0], a)
+        p = step + 1 if eps == -1 else ell - step
+        raw = -eps * best_key[0] + 2 * p - ell - 1
+        if bound is not None:
+            raw = min(raw, bound) if eps == -1 else max(raw, bound)
+        bound = iota[p - 1] = raw
+        sigma[j] = p
+    return tuple(sigma), tuple(iota)
 
 
 def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
@@ -153,25 +191,24 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
 
     Entry p is the row's candidate bound shifted by 2p - ell - 1, clamped
     against its already-computed neighbour (the previous entry for eps = -1,
-    the next one for eps = +1).
+    the next one for eps = +1).  The overlap with the rows before position p
+    comes from running counts per row length: O(l*d) for l rows of d
+    distinct lengths.
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    return _column_seq(eps, alpha, nu, _check_permutation(sigma, len(alpha)))
-
-
-def _column_seq(eps: int, alpha: tuple[int, ...], nu: tuple[int, ...],
-                sigma: tuple[int, ...]) -> tuple[int, ...]:
+    sigma = _check_permutation(sigma, len(alpha))
     ell = len(alpha)
-    inv = _inverse_permutation(sigma)
-    totals = _overlap_totals(alpha)
+    totals = _class_totals(alpha)
+    placed = dict.fromkeys(totals, 0)  # rows of each length at earlier positions
     raw = []
-    for p in range(1, ell + 1):
-        j = inv[p - 1] - 1
-        before = sum(min(alpha[j], alpha[inv[q] - 1]) for q in range(p - 1))
-        numer = nu[j] + totals[j] - 2 * before
-        c = _ceil_div(numer, alpha[j]) if eps == -1 else numer // alpha[j]
+    for p, i in enumerate(_inverse_permutation(sigma), start=1):
+        a = alpha[i - 1]
+        before = sum(c * min(a, b) for b, c in placed.items())
+        numer = nu[i - 1] + totals[a] - 2 * before
+        c = _ceil_div(numer, a) if eps == -1 else numer // a
         raw.append(c + 2 * p - ell - 1)
+        placed[a] += 1
     iota = [0] * ell
     if eps == -1:
         for p in range(ell):
@@ -206,8 +243,7 @@ class Stage(NamedTuple):
 def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[Stage]:
     stages = []
     while True:
-        sigma = _ranking(-1, alpha, nu)
-        mu = _column_seq(-1, alpha, nu, sigma)
+        sigma, mu = _rank_and_fill(-1, alpha, nu)
         stages.append(Stage(alpha, nu, sigma, mu))
         if alpha[0] == 1:
             return stages

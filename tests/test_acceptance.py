@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 The exhaustive sweeps (criteria 6-9) take minutes; they are shared across
-criteria through module-scoped fixtures so each sweep runs once.
+criteria through module-scoped fixtures so each sweep runs once, and their
+tests carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import time
@@ -146,6 +147,7 @@ def test_criterion_5_closed_form_sweeps():
     report(5, ok, f"closed forms for |nu_i| <= 10, total {elapsed:.2f} s")
 
 
+@pytest.mark.slow
 def test_criterion_6_exhaustive_roundtrips(forward_sweep, inverse_sweep):
     bad = failures(forward_sweep, ["roundtrip"]) + failures(inverse_sweep, ["roundtrip"])
     detail = (
@@ -156,6 +158,7 @@ def test_criterion_6_exhaustive_roundtrips(forward_sweep, inverse_sweep):
     report(6, not bad, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_property_suite(forward_sweep):
     names = [
         "permutation_invariance",
@@ -171,6 +174,7 @@ def test_criterion_7_property_suite(forward_sweep):
     report(7, not bad, f"{checked} property checks" if not bad else "; ".join(bad))
 
 
+@pytest.mark.slow
 def test_criterion_8_oracle_minimality(oracle_report):
     bad = failures(oracle_report, ["min_norm_agreement", "window_stability"])
     detail = (
@@ -181,6 +185,7 @@ def test_criterion_8_oracle_minimality(oracle_report):
     report(8, not bad, detail)
 
 
+@pytest.mark.slow
 def test_criterion_9_oracle_uniqueness(oracle_report):
     bad = failures(oracle_report, ["uniqueness", "matches_algorithm"])
     detail = (

@@ -80,6 +80,30 @@ def test_branch_plan_golden():
     assert plan.total_counts == (2, 1)
 
 
+def test_branch_correction_over_many_rows_of_few_lengths():
+    # each surviving row's residual entry is corrected by its min-overlaps with
+    # the surviving rows of the other branches: minus those before, plus those after
+    rng = random.Random(43)
+    for _ in range(60):
+        ell = rng.randint(6, 30)
+        lengths = rng.sample(range(1, 7), rng.randint(1, 3))
+        alpha = [rng.choice(lengths) for _ in range(ell)]
+        nu = [rng.randint(-3, 3) for _ in range(ell)]
+        for eps in (-1, 1):
+            plan = branch_plan(alpha, nu, eps)
+            expected = []
+            for x in range(plan.k):
+                hat = []
+                for a, v in zip(plan.sub_alpha[x], plan.sub_nu[x]):
+                    for xp, sub in enumerate(plan.sub_alpha):
+                        if xp != x:
+                            sign = -1 if xp < x else 1
+                            v += sign * sum(min(a, b) for b in sub)
+                    hat.append(v)
+                expected.append(tuple(hat))
+            assert plan.sub_nu_hat == tuple(expected)
+
+
 def test_gamma_via_diagrams_examples():
     assert gamma_via_diagrams([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (
         8, 7, 6, 6, 5, 4, 3, 3, 2, 2, 0,
@@ -205,3 +229,14 @@ def test_eta_of_right_equals_dom_shift_of_left():
         pair = alg_W(alpha.parts, nu, -1)
         rho2 = two_rho(alpha)
         assert eta(pair.right) == dom(a + r for a, r in zip(h_weight(pair.left), rho2))
+
+
+def test_zero_orbit_closed_form_at_scale():
+    # eta of the right diagram is gamma(1^l, nu) = dom(nu + 2rho), with
+    # 2rho = (l-1, l-3, ..., 1-l)
+    rng = random.Random(53)
+    ell = 5000
+    nu = sorted((rng.randint(-20, 20) for _ in range(ell)), reverse=True)
+    rho2 = range(ell - 1, -ell, -2)
+    expected = dom(v + r for v, r in zip(nu, rho2, strict=True))
+    assert eta(alg_W([1] * ell, nu, -1).right) == expected

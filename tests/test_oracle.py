@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import lvbij
 from lvbij import (
     SearchSpaceError,
     WeightDiagram,
@@ -144,3 +151,24 @@ def test_report_formatting():
     text = report.format_text()
     assert "all checks passed" in text
     assert "roundtrip" in text
+
+
+def test_reimporting_the_package_keeps_one_copy_alive():
+    # subscripted typing generics are cached by typing; an Iterator[Partition]
+    # annotation from typing would keep every re-imported copy of the package
+    # alive, so each re-import would add one more Partition class
+    script = textwrap.dedent("""
+        import gc, importlib, sys
+        for _ in range(20):
+            for name in [m for m in sys.modules if m == "lvbij" or m.startswith("lvbij.")]:
+                del sys.modules[name]
+            importlib.import_module("lvbij")
+        gc.collect()
+        print(sum(1 for o in gc.get_objects()
+                  if isinstance(o, type) and o.__module__ == "lvbij.core"
+                  and o.__qualname__ == "Partition"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(lvbij.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1"]

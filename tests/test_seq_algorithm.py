@@ -129,6 +129,24 @@ def test_ranking_and_column_seq_match_naive_transcription():
             assert column_seq(eps, alpha, nu, sigma) == naive_column_seq(eps, alpha, nu, sigma)
 
 
+def test_many_rows_of_few_lengths_match_naive_transcription():
+    # rows of one length are ranked as a class, so draw many rows over at most
+    # three lengths, with many equal entries, in no particular order
+    rng = random.Random(41)
+    for _ in range(40):
+        ell = rng.randint(6, 30)
+        lengths = rng.sample(range(1, 7), rng.randint(1, 3))
+        alpha = [rng.choice(lengths) for _ in range(ell)]
+        nu = [rng.randint(-3, 3) for _ in range(ell)]
+        shuffled = list(range(1, ell + 1))
+        rng.shuffle(shuffled)
+        for eps in (-1, 1):
+            sigma = ranking(eps, alpha, nu)
+            assert sigma == naive_ranking(eps, alpha, nu)
+            for perm in (sigma, tuple(shuffled)):
+                assert column_seq(eps, alpha, nu, perm) == naive_column_seq(eps, alpha, nu, perm)
+
+
 def test_column_seq_weakly_decreasing():
     rng = random.Random(11)
     for _ in range(200):
@@ -239,3 +257,13 @@ def test_deep_single_row_under_default_recursion_limit():
     assert gamma_forward([1200], [0]) == (0,) * 1200
     assert gamma_forward([1200], [2401]) == (3,) + (2,) * 1199
     assert alg_A([1200], [-1]) == (0,) * 1199 + (-1,)
+
+
+def test_zero_orbit_closed_form_at_scale():
+    # gamma(1^l, nu) = dom(nu + 2rho) with 2rho = (l-1, l-3, ..., 1-l); all 5000
+    # rows have one length, so each stage ranks a single class
+    rng = random.Random(47)
+    ell = 5000
+    nu = sorted((rng.randint(-20, 20) for _ in range(ell)), reverse=True)
+    rho2 = range(ell - 1, -ell, -2)
+    assert gamma_forward([1] * ell, nu) == dom(v + r for v, r in zip(nu, rho2, strict=True))
