@@ -1,12 +1,16 @@
 """Brute-force verification at desk scale.
 
 Independent of the algorithm modules' internals: fillings with prescribed row
-sums are enumerated outright, the norm is minimized over them, distinguished
-diagrams are found by exhaustive search over fillings and row orders, and the
-sweep harnesses grind through every small input checking the advertised
-identities.
+sums are enumerated outright, the norm is minimized over them by a branch and
+bound whose bounds follow from the norm's definition, distinguished diagrams
+are found by a search over fillings and row orders that places a row only if
+it meets the conditions of `is_distinguished` that the rows above it already
+decide, and the sweep harnesses grind through every small input checking the
+advertised identities.  Both searches return what the plain enumeration
+returns; `tests/test_oracle.py` checks them against it.
 """
 
+from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -135,8 +139,8 @@ def _row_compositions(length: int, total: int, lo: int, hi: int) -> Iterator[tup
             yield (first,) + rest
 
 
-def _filling_rows(alpha: Partition, nu, window: int) -> list[list[tuple[int, ...]]]:
-    """Per row, the list of admissible contents; raises if the product is too big."""
+def _state_count(alpha: Partition, nu, window: int) -> int:
+    """Number of in-window fillings; raises past STATE_LIMIT."""
     states = 1
     for length, total in zip(alpha.parts, nu):
         lo, hi = _row_window(length, total, window)
@@ -146,6 +150,12 @@ def _filling_rows(alpha: Partition, nu, window: int) -> list[list[tuple[int, ...
                 f"window {window} spans more than {STATE_LIMIT} fillings "
                 f"(at least {states} states)"
             )
+    return states
+
+
+def _filling_rows(alpha: Partition, nu, window: int) -> list[list[tuple[int, ...]]]:
+    """Per row, the list of admissible contents; raises if the product is too big."""
+    _state_count(alpha, nu, window)
     return [
         list(_row_compositions(length, total, *_row_window(length, total, window)))
         for length, total in zip(alpha.parts, nu)
@@ -164,83 +174,164 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
         yield WeightDiagram(rows)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
 def min_norm_over_fillings(alpha, nu, window: int) -> int:
     """Minimum over all in-window fillings of the offset squared norm of the
-    column-sorted weight."""
+    column-sorted weight.
+
+    Branch and bound over the entries, row by row.  A column's offset norm
+    pairs its entries, sorted decreasingly, with its decreasing rho block;
+    by the rearrangement inequality every other pairing gives at most that
+    norm.  So pairing the finished rows sorted with the top of each block,
+    and every later row i with entry i of each block it reaches, bounds every
+    completion from below; a later row's share is in turn at least
+    (row total + its rho entries)^2 / row length (Cauchy-Schwarz).  A branch
+    whose bound reaches the best norm found so far is cut; the minimum is
+    that of the plain enumeration.
+    """
     alpha, nu = validate_omega_pair(alpha, nu)
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    conj = alpha.conjugate().parts
-    rho_blocks = [tuple(range(h - 1, -h, -2)) for h in conj]
-    best = None
-    for rows in product(*_filling_rows(alpha, nu, window)):
-        total = 0
-        for j, h in enumerate(conj):
-            col = sorted((rows[i][j] for i in range(h)), reverse=True)
-            total += sum((c + r) ** 2 for c, r in zip(col, rho_blocks[j]))
-        if best is None or total < best:
-            best = total
-    if best is None:
+    if not _state_count(alpha, nu, window):
         raise SearchSpaceError("the window admits no fillings at all")
+    lengths = alpha.parts
+    rho_blocks = [tuple(range(h - 1, -h, -2)) for h in alpha.conjugate().parts]
+    ell = len(lengths)
+    # offs[i][j]: the rho entry row i meets in column j when rows keep their order
+    offs = [tuple(rho_blocks[j][i] for j in range(lengths[i])) for i in range(ell)]
+    # rest_offs[i][j]: sum of offs[i][j:]
+    rest_offs = [tuple(sum(o[j:]) for j in range(len(o) + 1)) for o in offs]
+    tail = [0] * (ell + 1)  # tail[i]: lower bound for rows i.. at their own positions
+    for i in reversed(range(ell)):
+        tail[i] = tail[i + 1] + _ceil_div((nu[i] + rest_offs[i][0]) ** 2, lengths[i])
+
+    columns: list[list[int]] = [[] for _ in rho_blocks]  # finished rows' entries, ascending
+    col_norms = [0] * len(rho_blocks)
+    rows: list[list[int]] = [[] for _ in lengths]
+    best = None
+
+    def set_col_norm(j: int) -> None:
+        col_norms[j] = sum((c + r) ** 2 for c, r in zip(reversed(columns[j]), rho_blocks[j]))
+
+    def finish_row(i: int) -> None:
+        nonlocal best
+        for j, x in enumerate(rows[i]):
+            insort(columns[j], x)
+            set_col_norm(j)
+        done = sum(col_norms)
+        if best is None or done + tail[i + 1] < best:
+            if i + 1 == ell:
+                best = done
+            else:
+                extend(i + 1, done, 0, nu[i + 1])
+        for j, x in enumerate(rows[i]):
+            columns[j].remove(x)
+            set_col_norm(j)
+
+    def extend(i: int, done: int, part: int, remaining: int) -> None:
+        # done: norm of rows < i, sorted; part: row i's entries so far at position i
+        row, length = rows[i], lengths[i]
+        j = len(row)
+        if j == length:
+            finish_row(i)
+            return
+        lo, hi = _row_window(length, nu[i], window)
+        left = length - j - 1
+        o, share, k = offs[i][j], remaining + rest_offs[i][j], length - j
+        candidates = range(max(lo, remaining - left * hi), min(hi, remaining - left * lo) + 1)
+        # nearest to an even split first, so that good bounds come early
+        for x in sorted(candidates, key=lambda v: abs((v + o) * k - share)):
+            p = part + (x + o) ** 2
+            bound = done + p + tail[i + 1]
+            if left:
+                bound += _ceil_div((remaining - x + rest_offs[i][j + 1]) ** 2, left)
+            if best is not None and bound >= best:
+                continue
+            row.append(x)
+            extend(i, done, p, remaining - x)
+            row.pop()
+
+    extend(0, 0, 0, nu[0])
     return best
 
 
-def _columns_weakly_decreasing(rows) -> bool:
-    width = max(len(r) for r in rows)
-    for j in range(width):
-        prev = None
-        for row in rows:
-            if len(row) > j:
-                if prev is not None and row[j] > prev:
-                    return False
-                prev = row[j]
-    return True
+def _step_rows(length: int, total: int, window: int, shifts) -> Iterator[tuple[int, ...]]:
+    """In-window rows with the given total that satisfy condition 1 of
+    `is_distinguished` (odd parity) once shifted by `shifts`.
 
-
-def _arrangements(rows) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # distinct orderings of the rows whose first column is weakly decreasing
-    # (a necessary condition for a distinguished diagram)
-    if not rows:
-        yield ()
-        return
-    counter = Counter(rows)
-    distinct = sorted(counter, reverse=True)
-    placed: list[tuple[int, ...]] = []
-
-    def rec(bound):
-        if len(placed) == len(rows):
-            yield tuple(placed)
-            return
-        for row in distinct:
-            if counter[row] and row[0] <= bound:
-                counter[row] -= 1
-                placed.append(row)
-                yield from rec(row[0])
-                placed.pop()
-                counter[row] += 1
-
-    yield from rec(max(r[0] for r in rows))
+    Under the column shift, entry j moves by shifts[j].  Condition 1 allows
+    the shifted row to step by 0 or -1 after an odd column and by 0 or +1
+    after an even one, so the steps fix the row up to its first entry, and
+    the total fixes that.
+    """
+    lo, hi = _row_window(length, total, window)
+    choices = [(0, -1 if j % 2 == 1 else 1) for j in range(1, length)]
+    for steps in product(*choices):
+        offsets = [0]
+        for j, step in enumerate(steps, start=1):
+            offsets.append(offsets[-1] + step - shifts[j] + shifts[j - 1])
+        first, rem = divmod(total - sum(offsets), length)
+        if rem:
+            continue
+        row = tuple(first + o for o in offsets)
+        if lo <= min(row) and max(row) <= hi:
+            yield row
 
 
 def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     """Exhaustive search for distinguished diagrams whose row data recovers nu.
 
-    Enumerates every in-window filling and every distinct row order of it.
-    Sorting rows never changes the row data, so the search covers the whole
-    fiber within the window.
+    Covers every in-window filling in every row order: sorting rows never
+    changes the row data, so the search covers the whole fiber within the
+    window.  Rows are placed top to bottom.  A row is placed only if, at its
+    position, it meets the two conditions of `is_distinguished` that involve
+    only the rows above it: its shifted entries step as condition 1 allows
+    (see `_step_rows`), and no entry exceeds the one above it, which is
+    condition 4 (the column shift lowers each entry by 2 more than the one
+    above).  Each full diagram is then checked with `is_distinguished`.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    found = set()
-    for rows in product(*_filling_rows(alpha, nu, window)):
-        for arrangement in _arrangements(rows):
-            if not _columns_weakly_decreasing(arrangement):
-                continue
-            X = WeightDiagram(arrangement)
+    _state_count(alpha, nu, window)
+    heights = alpha.conjugate().parts
+    unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
+    filled = [0] * len(heights)  # rows placed so far, per column
+    bottom = [0] * len(heights)  # lowest entry placed so far, per column
+    placed: list[tuple[int, ...]] = []
+    found = []
+
+    def place() -> None:
+        if len(placed) == len(alpha.parts):
+            X = WeightDiagram(placed)
             if is_distinguished(X, "odd"):
                 assert kappa(X) == nu
-                found.add(X)
+                found.append(X)
+            return
+        for (length, total), left in unplaced.items():
+            if not left:
+                continue
+            shifts = [heights[j] - 2 * filled[j] - 1 for j in range(length)]
+            for row in _step_rows(length, total, window, shifts):
+                if any(filled[j] and row[j] > bottom[j] for j in range(length)):
+                    continue
+                above = bottom[:length]
+                unplaced[length, total] -= 1
+                for j in range(length):
+                    filled[j] += 1
+                bottom[:length] = row
+                placed.append(row)
+                place()
+                placed.pop()
+                bottom[:length] = above
+                for j in range(length):
+                    filled[j] -= 1
+                unplaced[length, total] += 1
+
+    place()
     return sorted(found, key=lambda d: d.rows)
 
 

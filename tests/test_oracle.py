@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from lvbij import (
     distinguished_fillings,
     dominant_sequences,
     enumerate_fillings,
+    h_weight,
     inverse_roundtrip_sweep,
+    is_distinguished,
     min_norm_over_fillings,
     norm_sq,
     omega_pairs,
@@ -92,6 +95,46 @@ def test_min_norm_matches_object_route():
             for f in enumerate_fillings(alpha, nu, window)
         )
         assert best == min_norm_over_fillings(alpha, nu, window)
+
+
+def naive_min_norm(alpha, nu, window):
+    # the unpruned search: every in-window filling, norm of its column-sorted weight
+    rho2 = two_rho(alpha)
+    return min(
+        norm_sq(a + r for a, r in zip(h_weight(f), rho2))
+        for f in enumerate_fillings(alpha, nu, window)
+    )
+
+
+def naive_distinguished(alpha, nu, window):
+    # the unpruned search: every in-window filling in every row order
+    found = {
+        WeightDiagram(rows)
+        for f in enumerate_fillings(alpha, nu, window)
+        for rows in set(permutations(f.rows))
+        if is_distinguished(WeightDiagram(rows), "odd")
+    }
+    return sorted(found, key=lambda d: d.rows)
+
+
+def test_pruned_searches_match_unpruned_search():
+    for alpha, nu in omega_pairs(4, 2):
+        window = default_window(alpha)
+        for w in (0, 1, window, window + 2):
+            if not list(enumerate_fillings(alpha, nu, w)):
+                with pytest.raises(SearchSpaceError):
+                    min_norm_over_fillings(alpha, nu, w)
+                assert distinguished_fillings(alpha, nu, w) == []
+                continue
+            assert min_norm_over_fillings(alpha, nu, w) == naive_min_norm(alpha, nu, w)
+            assert distinguished_fillings(alpha, nu, w) == naive_distinguished(alpha, nu, w)
+
+
+def test_pruned_searches_keep_the_search_space_guard():
+    with pytest.raises(SearchSpaceError):
+        min_norm_over_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
+    with pytest.raises(SearchSpaceError):
+        distinguished_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
 
 
 def test_distinguished_fillings_golden():
