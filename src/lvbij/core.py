@@ -34,6 +34,17 @@ def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(_check_int(v) for v in values)
 
 
+def _column_heights(lengths: Sequence[int]) -> list[int]:
+    # entry j-1 counts the positive lengths that are >= j: tally each length,
+    # then take suffix sums, O(len(lengths) + max(lengths))
+    heights = [0] * max(lengths, default=0)
+    for a in lengths:
+        heights[a - 1] += 1
+    for j in reversed(range(len(heights) - 1)):
+        heights[j] += heights[j + 1]
+    return heights
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers with at least one part.
 
@@ -71,7 +82,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Column lengths: the j-th part counts the parts of self that are >= j."""
-        return Partition(sum(1 for p in self.parts if p >= j) for j in range(1, self.s + 1))
+        return Partition(_column_heights(self.parts))
 
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
         """The distinct part values in decreasing order, each with its multiplicity."""
@@ -147,7 +158,7 @@ def two_rho(alpha) -> tuple[int, ...]:
     """
     alpha = as_partition(alpha)
     out: list[int] = []
-    for h in alpha.conjugate():
+    for h in _column_heights(alpha.parts):
         out.extend(range(h - 1, -h, -2))
     return tuple(out)
 
@@ -178,7 +189,7 @@ def levi_blocks(mu: Sequence[int], alpha) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"mu has length {len(mu)}, expected {alpha.n}")
     blocks = []
     start = 0
-    for h in alpha.conjugate():
+    for h in _column_heights(alpha.parts):
         blocks.append(mu[start : start + h])
         start += h
     return tuple(blocks)

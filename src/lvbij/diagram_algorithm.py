@@ -1,16 +1,17 @@
 """Weight-diagrams form of the forward map.
 
-Each node of Algorithm W fills the first column of its rows in both output
-diagrams, splits its surviving rows into branches (one per distinct
+Each node of Algorithm W fills the first column of its rows in the right
+output diagram Y, splits its surviving rows into branches (one per distinct
 first-column entry), adjusts each branch's residual input to account for the
 other branches, and hands each branch on, with the opposite rounding mode, to
-fill the next columns of the same rows.
+fill the next columns of the same rows.  Y is built node by node; the left
+diagram is its column-shift preimage, X = e_inverse(Y).
 """
 
 from dataclasses import dataclass
 
 from .core import validate_omega_pair, _int_tuple
-from .diagrams import DiagramPair, WeightDiagram, eta
+from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
 from .seq_algorithm import (
     _check_eps,
     _check_permutation,
@@ -137,53 +138,29 @@ def _branch_plan(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> Branc
     )
 
 
-def _column_counts(alpha: tuple[int, ...]) -> list[int]:
-    # entry j-1 counts the rows reaching column j
-    return [sum(1 for a in alpha if a >= j) for j in range(1, max(alpha, default=0) + 1)]
-
-
-def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> tuple[list[list[int]], list[list[int]]]:
-    x_rows: list[list[int]] = [[] for _ in alpha]
+def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> list[list[int]]:
     y_rows: list[list[int]] = [[] for _ in alpha]
     # A node is one branch input, with the top-level index of each of its rows
-    # in position order, and the offset that its left-diagram column c gets
-    # from the branches beside its ancestors, held as offsets[shift + c].  A
-    # parent is popped before its children, so every row grows left to right.
-    work = [(alpha, nu, eps, range(len(alpha)), [0] * max(alpha), 0)]
+    # in position order.  A parent is popped before its children, so every
+    # row grows left to right.  Row p of a node of ell rows gets its
+    # first-column entry plus ell - 2p - 1, which depends on the node alone.
+    work = [(alpha, nu, eps, range(len(alpha)))]
     while work:
-        sub_alpha, sub_nu, sub_eps, rows, offsets, shift = work.pop()
+        sub_alpha, sub_nu, sub_eps, rows = work.pop()
         ell = len(sub_alpha)
         plan = _branch_plan(sub_alpha, sub_nu, sub_eps)
         for p, (r, value) in enumerate(zip(rows, plan.iota)):
-            x_rows[r].append(value + offsets[shift])
             y_rows[r].append(value + ell - 2 * p - 1)
-        if plan.k == 1:
-            branch_offsets = [(offsets, shift + 1)]
-        else:
-            # column c of branch x is shifted by the rows the other branches
-            # have in that column: up for those before x, down for those after
-            stars = [_column_counts(sub) for sub in plan.sub_alpha]
-            totals = _column_counts(tuple(a for sub in plan.sub_alpha for a in sub))
-            before = [0] * len(totals)
-            branch_offsets = []
-            for star in stars:
-                branch_offsets.append(([
-                    offsets[shift + 1 + c] + 2 * before[c] + h - totals[c]
-                    for c, h in enumerate(star)
-                ], 0))
-                for c, h in enumerate(star):
-                    before[c] += h
-        for x, (child_offsets, child_shift) in enumerate(branch_offsets):
-            if plan.survivor_rows[x]:
-                child_rows = [rows[i - 1] for i in plan.survivor_rows[x]]
-                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows,
-                             child_offsets, child_shift))
+        for x, survivors in enumerate(plan.survivor_rows):
+            if survivors:
+                child_rows = [rows[i - 1] for i in survivors]
+                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows))
 
     if __debug__:
         # a branch may arrange its own rows freely, so only the multiset of
         # row lengths is pinned down
-        assert sorted(len(r) for r in x_rows) == sorted(alpha), "wrong shape-class"
-    return x_rows, y_rows
+        assert sorted(len(r) for r in y_rows) == sorted(alpha), "wrong shape-class"
+    return y_rows
 
 
 def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
@@ -194,12 +171,11 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    x_rows, y_rows = _alg_W(alpha, nu, eps)
-    return DiagramPair(WeightDiagram(x_rows), WeightDiagram(y_rows))
+    Y = WeightDiagram._trusted(_alg_W(alpha, nu, eps))
+    return DiagramPair(e_inverse(Y), Y)
 
 
 def gamma_via_diagrams(alpha, nu) -> tuple[int, ...]:
     """The forward bijection read off the right output diagram."""
     alpha, nu = validate_omega_pair(alpha, nu)
-    _, y_rows = _alg_W(alpha.parts, nu, -1)
-    return eta(y_rows)
+    return eta(_alg_W(alpha.parts, nu, -1))

@@ -8,7 +8,7 @@ to bottom.
 
 from typing import Iterable, NamedTuple
 
-from .core import Partition, dom, _check_int
+from .core import Partition, dom, _check_int, _column_heights
 
 __all__ = [
     "WeightDiagram",
@@ -39,13 +39,13 @@ class WeightDiagram:
                 raise ValueError("diagram rows must be non-empty")
         self.rows = rows
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_boxes(self) -> int:
-        return sum(len(row) for row in self.rows)
+    @classmethod
+    def _trusted(cls, rows: Iterable[Iterable[int]]) -> "WeightDiagram":
+        # rows of plain ints, none empty, computed from validated values:
+        # built without checking every entry again
+        X = object.__new__(cls)
+        X.rows = tuple(map(tuple, rows))
+        return X
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (1-based), top to bottom."""
@@ -92,23 +92,18 @@ def shape_class(X) -> Partition:
     return Partition(sorted(X.row_lengths(), reverse=True))
 
 
-def _column_heights(X: WeightDiagram) -> list[int]:
-    # height of column j = number of rows with at least j boxes
-    lengths = X.row_lengths()
-    s = max(lengths, default=0)
-    return [sum(1 for le in lengths if le >= j) for j in range(1, s + 1)]
-
-
 def _apply_column_shift(X: WeightDiagram, direction: int) -> WeightDiagram:
-    heights = _column_heights(X)
-    rows = [list(row) for row in X.rows]
-    for j, h in enumerate(heights, start=1):
-        i = 0
-        for row in rows:
-            if len(row) >= j:
-                i += 1
-                row[j - 1] += direction * (h - 2 * i + 1)
-    return WeightDiagram(rows)
+    # one pass over the boxes: shift[j] is what the next entry of column j+1
+    # moves by, direction * (height - 2 * position + 1), so each row that
+    # reaches that column takes 2 * direction off it
+    heights = _column_heights(X.row_lengths())
+    shift = [direction * (h - 1) for h in heights]
+    step = 2 * direction
+    rows = []
+    for row in X.rows:
+        rows.append([v + d for v, d in zip(row, shift)])
+        shift[: len(row)] = [d - step for d in shift[: len(row)]]
+    return WeightDiagram._trusted(rows)
 
 
 def e_map(X) -> WeightDiagram:
@@ -201,7 +196,7 @@ def is_distinguished(X, parity: str = "odd") -> bool:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     X = _as_diagram(X)
     Y = e_map(X)
-    heights = _column_heights(Y)
+    heights = _column_heights(Y.row_lengths())
     columns = [Y.column(j) for j in range(1, len(heights) + 1)]
 
     # condition 4: strict descent by at least 2 down every column

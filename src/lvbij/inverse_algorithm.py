@@ -52,12 +52,12 @@ def _clumps(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def majuscule_extract(clump, eps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Longest subsequence with gaps >= 2 anchored at the clump's first entry
-    (eps = -1) or last entry (eps = +1), plus the sorted remainder.
+    (eps = -1) or last entry (eps = +1), plus the remainder in clump order,
+    which is weakly decreasing as a subsequence of the clump.
 
     Greedy scanning from the anchor is maximal here because within a clump
     adjacent gaps are at most 1.  When equal values qualify, the occurrence
-    closest to the anchor is taken; the remainder is re-sorted, so the choice
-    only fixes determinism of the intermediate state.
+    closest to the anchor is taken.
     """
     eps = _check_eps(eps)
     return _majuscule_extract(_check_dominant(clump), eps)
@@ -87,7 +87,7 @@ def _majuscule_extract(clump: tuple[int, ...], eps: int) -> tuple[tuple[int, ...
         taken.reverse()
     taken_set = set(taken)
     extracted = tuple(clump[i] for i in taken)
-    remainder = tuple(sorted((clump[i] for i in range(len(clump)) if i not in taken_set), reverse=True))
+    remainder = tuple(clump[i] for i in range(len(clump)) if i not in taken_set)
     return extracted, remainder
 
 

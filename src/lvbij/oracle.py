@@ -15,6 +15,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .core import (
     Partition,
@@ -109,22 +110,16 @@ def _row_window(length: int, total: int, window: int) -> tuple[int, int]:
 
 
 def _composition_count(length: int, total: int, lo: int, hi: int) -> int:
+    # rows of `length` entries in [lo, hi] summing to total, by inclusion-exclusion
+    # over the k entries forced past hi: O(length) integer steps for any window
     width = hi - lo
-    if width < 0:
-        return 0
     target = total - length * lo
-    if target < 0 or target > length * width:
+    if width < 0 or target < 0:
         return 0
-    ways = [0] * (target + 1)
-    ways[0] = 1
-    for _ in range(length):
-        new = [0] * (target + 1)
-        for v, w in enumerate(ways):
-            if w:
-                for d in range(min(width, target - v) + 1):
-                    new[v + d] += w
-        ways = new
-    return ways[target]
+    return sum(
+        (-1) ** k * comb(length, k) * comb(target - k * (width + 1) + length - 1, length - 1)
+        for k in range(min(length, target // (width + 1)) + 1)
+    )
 
 
 def _row_compositions(length: int, total: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -390,6 +385,10 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
     norms and equal dominant weights, and the output diagram is
     distinguished.  `extended` adds the pair-coherence, adjacency,
     input-permutation, both-parity, and column-shift compatibility checks.
+    `alg_W` builds the right diagram node by node and takes the left one as
+    its column-shift preimage, so pair coherence holds by construction;
+    `kappa_recovery`, `norm_agreement` and `distinguished_odd` test the left
+    diagram on its own.
     """
     report = SweepReport(label=f"roundtrip sweep n<={n_max}, |nu_i|<={entry_bound}")
     for alpha, nu in omega_pairs(n_max, entry_bound):

@@ -28,6 +28,7 @@ from lvbij import (
     roundtrip_sweep,
     two_rho,
 )
+from lvbij.oracle import _composition_count, _row_compositions
 
 
 def test_partitions_of_counts():
@@ -130,11 +131,26 @@ def test_pruned_searches_match_unpruned_search():
             assert distinguished_fillings(alpha, nu, w) == naive_distinguished(alpha, nu, w)
 
 
+def test_composition_count_matches_enumeration():
+    # empty windows (hi < lo), windows shifted away from 0 and totals outside
+    # every window included
+    for length in range(1, 6):
+        for total in range(-12, 13):
+            for lo in range(-5, 5):
+                for hi in range(lo - 2, lo + 7):
+                    assert _composition_count(length, total, lo, hi) == len(
+                        list(_row_compositions(length, total, lo, hi))
+                    ), (length, total, lo, hi)
+
+
 def test_pruned_searches_keep_the_search_space_guard():
-    with pytest.raises(SearchSpaceError):
-        min_norm_over_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
-    with pytest.raises(SearchSpaceError):
-        distinguished_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
+    # the second input's count is about 5e18 fillings: the guard must refuse it
+    # without counting them one window step at a time
+    for alpha, nu, window in (([9, 9, 9, 9], [0, 0, 0, 0], 40), ([4], [0], 10**6)):
+        with pytest.raises(SearchSpaceError):
+            min_norm_over_fillings(alpha, nu, window)
+        with pytest.raises(SearchSpaceError):
+            distinguished_fillings(alpha, nu, window)
 
 
 def test_distinguished_fillings_golden():

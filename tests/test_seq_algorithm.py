@@ -5,6 +5,7 @@ import pytest
 from lvbij import (
     alg_A,
     alg_A_stages,
+    branch_plan,
     candidate,
     column_seq,
     dom,
@@ -127,6 +128,7 @@ def test_ranking_and_column_seq_match_naive_transcription():
             sigma = ranking(eps, alpha, nu)
             assert sigma == naive_ranking(eps, alpha, nu)
             assert column_seq(eps, alpha, nu, sigma) == naive_column_seq(eps, alpha, nu, sigma)
+            assert branch_plan(alpha, nu, eps).iota == naive_column_seq(eps, alpha, nu, sigma)
 
 
 def test_many_rows_of_few_lengths_match_naive_transcription():
@@ -145,6 +147,7 @@ def test_many_rows_of_few_lengths_match_naive_transcription():
             assert sigma == naive_ranking(eps, alpha, nu)
             for perm in (sigma, tuple(shuffled)):
                 assert column_seq(eps, alpha, nu, perm) == naive_column_seq(eps, alpha, nu, perm)
+            assert branch_plan(alpha, nu, eps).iota == naive_column_seq(eps, alpha, nu, sigma)
 
 
 def test_column_seq_weakly_decreasing():
