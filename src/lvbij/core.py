@@ -6,6 +6,7 @@ roots.  No floating point is ever involved.
 """
 
 import operator
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -32,6 +33,11 @@ def _check_int(value) -> int:
 
 def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(_check_int(v) for v in values)
+
+
+def _runs(values: Iterable[int]) -> list[list[int]]:
+    # [value, multiplicity] for each maximal run of equal adjacent values, in order
+    return [[v, sum(1 for _ in run)] for v, run in groupby(values)]
 
 
 def _column_heights(lengths: Sequence[int]) -> list[int]:
@@ -86,13 +92,7 @@ class Partition:
 
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
         """The distinct part values in decreasing order, each with its multiplicity."""
-        out: list[tuple[int, int]] = []
-        for p in self.parts:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return tuple(out)
+        return tuple(map(tuple, _runs(self.parts)))
 
     def __iter__(self):
         return iter(self.parts)

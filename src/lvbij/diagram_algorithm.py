@@ -178,4 +178,4 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
 def gamma_via_diagrams(alpha, nu) -> tuple[int, ...]:
     """The forward bijection read off the right output diagram."""
     alpha, nu = validate_omega_pair(alpha, nu)
-    return eta(_alg_W(alpha.parts, nu, -1))
+    return eta(WeightDiagram._trusted(_alg_W(alpha.parts, nu, -1)))

@@ -163,17 +163,6 @@ def concat(*diagrams) -> WeightDiagram:
     return WeightDiagram(rows)
 
 
-def _column_positions(Y: WeightDiagram) -> dict[tuple[int, int], int]:
-    # (row index, column) -> position of that entry within its column, all 1-based
-    positions = {}
-    counts = [0] * (max(Y.row_lengths(), default=0) + 1)
-    for i, row in enumerate(Y.rows, start=1):
-        for j in range(1, len(row) + 1):
-            counts[j] += 1
-            positions[(i, j)] = counts[j]
-    return positions
-
-
 def _adjacent_steps_ok(Y: WeightDiagram, eps: int) -> bool:
     # condition 1 of is_distinguished, eps = -1 for odd parity and +1 for even:
     # horizontal neighbours differ by 0 or eps*(-1)^(j+1), j the left column
@@ -190,52 +179,56 @@ def is_distinguished(X, parity: str = "odd") -> bool:
 
     Both parities share the implementation; they differ in the sign pattern
     allowed between horizontal neighbours and in which column-parity pair
-    forbids a raisable (resp. lowerable) entry.
+    forbids a raisable (resp. lowerable) entry.  One pass down the columns
+    of Y = e_map(X) checks the gaps and marks which entries are raisable or
+    lowerable; one right-to-left pass per row then checks each entry against
+    the extremes of the entries to its right.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     X = _as_diagram(X)
     Y = e_map(X)
-    heights = _column_heights(Y.row_lengths())
-    columns = [Y.column(j) for j in range(1, len(heights) + 1)]
+    rows = Y.rows
 
-    # condition 4: strict descent by at least 2 down every column
-    for col in columns:
-        for a, b in zip(col, col[1:]):
-            if a - b < 2:
+    # condition 4: strict descent by at least 2 down every column; an entry
+    # is raisable (lowerable) iff it tops (ends) its column or the gap to the
+    # entry above (below) it exceeds 2
+    raisable = [[True] * len(row) for row in rows]
+    lowerable = [[True] * len(row) for row in rows]
+    lowest: list[int] = []  # per column, the row of its lowest entry so far
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if j == len(lowest):
+                lowest.append(i)
+                continue
+            k = lowest[j]
+            gap = rows[k][j] - v
+            if gap < 2:
                 return False
+            raisable[i][j] = lowerable[k][j] = gap > 2
+            lowest[j] = i
 
     if not _adjacent_steps_ok(Y, -1 if parity == "odd" else 1):
         return False
 
-    positions = _column_positions(Y)
-
-    def raisable(i: int, j: int) -> bool:
-        p = positions[(i, j)]
-        return p == 1 or columns[j - 1][p - 2] > columns[j - 1][p - 1] + 2
-
-    def lowerable(i: int, j: int) -> bool:
-        p = positions[(i, j)]
-        return p == heights[j - 1] or columns[j - 1][p] < columns[j - 1][p - 1] - 2
-
-    raise_parity = 1 if parity == "odd" else 0  # j % 2 for the raisable half of condition 2
-    for i, row in enumerate(Y.rows, start=1):
-        for j in range(1, len(row) + 1):
-            for jp in range(j + 1, len(row) + 1):
-                vj, vjp = row[j - 1], row[jp - 1]
-                # condition 3
-                if vj <= vjp - 2 and raisable(i, j):
-                    return False
-                if vj >= vjp + 2 and lowerable(i, j):
-                    return False
-                # condition 2
-                if j % 2 == jp % 2:
-                    if j % 2 == raise_parity:
-                        if vj <= vjp - 1 and raisable(i, j):
-                            return False
-                    else:
-                        if vj >= vjp + 1 and lowerable(i, j):
-                            return False
+    # conditions 3 and 2: no raisable entry has an entry to its right at least
+    # 2 above it, nor, in the raising column parity, a same-parity one at
+    # least 1 above it; the same for lowerable entries, below and with the
+    # other column parity.  hi/lo range over all entries to the right, and
+    # same_hi/same_lo over those in columns of each parity.
+    raise_parity = 0 if parity == "odd" else 1  # 0-based j % 2 of the raising columns
+    inf = float("inf")
+    for row, up, down in zip(rows, raisable, lowerable):
+        hi, lo = -inf, inf
+        same_hi, same_lo = [-inf, -inf], [inf, inf]
+        for j in reversed(range(len(row))):
+            v, p = row[j], j % 2
+            if up[j] and (hi >= v + 2 or (p == raise_parity and same_hi[p] >= v + 1)):
+                return False
+            if down[j] and (lo <= v - 2 or (p != raise_parity and same_lo[p] <= v - 1)):
+                return False
+            hi, lo = max(hi, v), min(lo, v)
+            same_hi[p], same_lo[p] = max(same_hi[p], v), min(same_lo[p], v)
     return True
 
 

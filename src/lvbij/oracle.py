@@ -77,24 +77,33 @@ def partitions_of(n: int) -> Iterator[Partition]:
             yield Partition(parts)
 
 
+def _check_bound(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def dominant_sequences(alpha, entry_bound: int) -> Iterator[tuple[int, ...]]:
     """All sequences dominant with respect to alpha with entries in [-bound, bound]."""
     alpha = as_partition(alpha)
+    _check_bound("entry_bound", entry_bound)
     values = range(entry_bound, -entry_bound - 1, -1)
     block_choices = [
         combinations_with_replacement(values, mult)
         for _, mult in alpha.distinct_parts()
     ]
-    for blocks in product(*block_choices):
-        yield tuple(v for block in blocks for v in block)
+    return (tuple(v for block in blocks for v in block) for blocks in product(*block_choices))
 
 
 def omega_pairs(n_max: int, entry_bound: int) -> Iterator[tuple[Partition, tuple[int, ...]]]:
     """All valid (alpha, nu) with |alpha| <= n_max and |nu_i| <= entry_bound."""
-    for n in range(1, n_max + 1):
-        for alpha in partitions_of(n):
-            for nu in dominant_sequences(alpha, entry_bound):
-                yield alpha, nu
+    _check_bound("n_max", n_max)
+    _check_bound("entry_bound", entry_bound)
+    return (
+        (alpha, nu)
+        for n in range(1, n_max + 1)
+        for alpha in partitions_of(n)
+        for nu in dominant_sequences(alpha, entry_bound)
+    )
 
 
 def default_window(alpha) -> int:
@@ -163,8 +172,7 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     Entries of row i stay within `window` of the balanced split of nu[i].
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    _check_bound("window", window)
     for rows in product(*_filling_rows(alpha, nu, window)):
         yield WeightDiagram(rows)
 
@@ -188,8 +196,7 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     that of the plain enumeration.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    _check_bound("window", window)
     if not _state_count(alpha, nu, window):
         raise SearchSpaceError("the window admits no fillings at all")
     lengths = alpha.parts
@@ -289,8 +296,7 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     above).  Each full diagram is then checked with `is_distinguished`.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
+    _check_bound("window", window)
     _state_count(alpha, nu, window)
     heights = alpha.conjugate().parts
     unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
@@ -301,7 +307,7 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
 
     def place() -> None:
         if len(placed) == len(alpha.parts):
-            X = WeightDiagram(placed)
+            X = WeightDiagram._trusted(placed)
             if is_distinguished(X, "odd"):
                 assert kappa(X) == nu
                 found.append(X)
@@ -437,6 +443,8 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
 
 def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
     """Exhaustive inverse-side verification over all small dominant weights."""
+    _check_bound("max_len", max_len)
+    _check_bound("entry_bound", entry_bound)
     report = SweepReport(label=f"inverse sweep len<={max_len}, |entry|<={entry_bound}")
     values = range(entry_bound, -entry_bound - 1, -1)
     for k in range(1, max_len + 1):

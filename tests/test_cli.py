@@ -100,6 +100,22 @@ def test_verify_json(capsys):
     assert payload["result"]["checks"]["roundtrip"]["first_failure"] is None
 
 
+def test_negative_sweep_bounds_exit_2(capsys):
+    for argv in (
+        ("verify", "--entry-bound", "-1"),
+        ("verify", "--n-max", "-3"),
+        ("enumerate", "--n-max", "-1"),
+        ("enumerate", "--n-max", "2", "--entry-bound", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be >= 0" in err
+        assert "all checks passed" not in out
+    code, out, _ = run(capsys, "verify", "--n-max", "0")
+    assert code == 0
+    assert "0 cases" in out
+
+
 def test_enumerate_fillings(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--alpha", "2", "--nu", "7", "--window", "0"

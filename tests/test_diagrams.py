@@ -5,6 +5,7 @@ import pytest
 
 from lvbij import (
     WeightDiagram,
+    alg_W,
     concat,
     dom,
     e_inverse,
@@ -14,6 +15,7 @@ from lvbij import (
     is_dominant_wrt,
     is_distinguished,
     kappa,
+    omega_pairs,
     parse_diagram,
     partitions_of,
     render_diagram,
@@ -137,6 +139,89 @@ def test_is_distinguished_examples():
     assert is_distinguished([[3]], "odd")
     with pytest.raises(ValueError):
         is_distinguished([[3]], "both")
+
+
+def pairwise_is_distinguished(X, parity):
+    # the four conditions checked pair by pair, as is_distinguished did
+    # before it became two passes: every entry against every entry to its
+    # right in its row, raisable/lowerable read off its column neighbours
+    Y = e_map(X)
+    cols = [Y.column(j) for j in range(1, max(Y.row_lengths(), default=0) + 1)]
+    if any(a - b < 2 for col in cols for a, b in zip(col, col[1:])):
+        return False
+    eps = -1 if parity == "odd" else 1
+    for row in Y.rows:
+        for j in range(1, len(row)):
+            if row[j] - row[j - 1] not in (0, eps if j % 2 == 1 else -eps):
+                return False
+    seen = [0] * len(cols)
+    for row in Y.rows:
+        for j, v in enumerate(row):
+            col, p = cols[j], seen[j]
+            seen[j] += 1
+            raisable = p == 0 or col[p - 1] > v + 2
+            lowerable = p == len(col) - 1 or col[p + 1] < v - 2
+            for jp in range(j + 1, len(row)):
+                w = row[jp]
+                if (v <= w - 2 and raisable) or (v >= w + 2 and lowerable):
+                    return False
+                if j % 2 == jp % 2:
+                    if (j % 2 == 0) == (parity == "odd"):
+                        if v <= w - 1 and raisable:
+                            return False
+                    elif v >= w + 1 and lowerable:
+                        return False
+    return True
+
+
+def stepped_rows(eps, start):
+    # every row of 1 to 5 entries from start whose steps condition 1 allows
+    rows = [[start]]
+    for row in rows:
+        if len(row) < 5:
+            step = eps if len(row) % 2 == 1 else -eps
+            rows += [row + [row[-1]], row + [row[-1] + step]]
+    return rows
+
+
+def two_row_diagrams():
+    # e_inverse of every two-row diagram whose rows meet condition 1 for
+    # either parity, the second row starting 2 to 5 below the first: the
+    # column gaps of 2 or 3 decide which entries are raisable or lowerable
+    for eps in (-1, 1):
+        for top in stepped_rows(eps, 0):
+            for start in range(-2, -6, -1):
+                for bottom in stepped_rows(eps, start):
+                    yield e_inverse([top, bottom])
+
+
+def perturbed_outputs():
+    # the left diagrams of Algorithm W in both parities, and each of them
+    # with one box moved by -2, -1, 1 or 2
+    for alpha, nu in omega_pairs(4, 2):
+        for eps in (-1, 1):
+            X = alg_W(alpha.parts, nu, eps).left
+            yield X
+            for i, row in enumerate(X.rows):
+                for j in range(len(row)):
+                    for d in (-2, -1, 1, 2):
+                        rows = [list(r) for r in X.rows]
+                        rows[i][j] += d
+                        yield WeightDiagram(rows)
+
+
+def test_is_distinguished_matches_pairwise_check():
+    rng = random.Random(67)
+    diagrams = [random_diagram(rng, max_boxes=12, bound=3) for _ in range(1500)]
+    diagrams += two_row_diagrams()
+    diagrams += perturbed_outputs()
+    outcomes = set()
+    for X in diagrams:
+        for parity in ("odd", "even"):
+            got = is_distinguished(X, parity)
+            assert got == pairwise_is_distinguished(X, parity), (X, parity)
+            outcomes.add((parity, got))
+    assert len(outcomes) == 4
 
 
 def test_kappa_dominant_and_sums_conserved():

@@ -148,6 +148,71 @@ def test_section_agreement_small():
         assert alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right
 
 
+def entrywise_alg_B(lam, eps):
+    # the entry-by-entry construction Algorithm B ran before it worked on
+    # value runs: clumps cut by position, a greedy extraction over entry
+    # indices, and a scan of the parent's first column for each attachment
+    def split(lam):
+        out, start = [], 0
+        for i in range(1, len(lam)):
+            if lam[i - 1] - lam[i] >= 2:
+                out.append(lam[start:i])
+                start = i
+        return out + [lam[start:]]
+
+    def extract(clump, eps):
+        order = range(len(clump)) if eps == -1 else reversed(range(len(clump)))
+        taken = []
+        for idx in order:
+            if not taken or eps * (clump[idx] - clump[taken[-1]]) >= 2:
+                taken.append(idx)
+        taken = sorted(taken)
+        rest = tuple(v for i, v in enumerate(clump) if i not in taken)
+        return tuple(clump[i] for i in taken), rest
+
+    rows = []
+    work = [(tuple(lam), eps, None)]
+    while work:
+        lam, eps, targets = work.pop()
+        used = set()
+        for clump in split(lam):
+            first_col, remainder = extract(clump, eps)
+            placed = []
+            for value in first_col:
+                if targets is None:
+                    rows.append([])
+                    row = rows[-1]
+                else:
+                    matches = [i for i, (t, _) in enumerate(targets) if value - t in (0, -eps)]
+                    assert len(matches) == 1 and matches[0] not in used
+                    used.add(matches[0])
+                    row = targets[matches[0]][1]
+                row.append(value)
+                placed.append((value, row))
+            if remainder:
+                work.append((remainder, -eps, placed))
+    return WeightDiagram(rows)
+
+
+def seeded_weights(rng):
+    # short weights of every spread, then long ones built from runs of 200 or
+    # more equal entries
+    for _ in range(400):
+        k = rng.randint(1, 30)
+        span = rng.randint(0, 12)
+        yield tuple(sorted((rng.randint(0, span) for _ in range(k)), reverse=True))
+    for _ in range(12):
+        values = sorted(rng.sample(range(-8, 8), rng.randint(1, 4)), reverse=True)
+        yield tuple(v for v in values for _ in range(rng.randint(200, 260)))
+
+
+def test_alg_B_matches_entrywise_construction():
+    rng = random.Random(61)
+    for lam in seeded_weights(rng):
+        for eps in (-1, 1):
+            assert alg_B(lam, eps) == entrywise_alg_B(lam, eps), (lam, eps)
+
+
 def test_deep_inputs_under_default_recursion_limit():
     # one stack entry per column: 1200 equal entries give a single row of 1200 boxes
     assert alg_B((0,) * 1200, -1) == WeightDiagram([[0] * 1200])

@@ -49,6 +49,27 @@ def test_dominant_sequences_respect_blocks():
     assert len(list(dominant_sequences([2, 1], 1))) == 9
 
 
+def test_negative_bounds_are_refused():
+    # a negative bound would make every sweep an empty one that passes
+    calls = [
+        lambda: omega_pairs(-3, 2),
+        lambda: omega_pairs(3, -1),
+        lambda: dominant_sequences([2, 1], -1),
+        lambda: roundtrip_sweep(-3, 2),
+        lambda: oracle_sweep(3, -1),
+        lambda: inverse_roundtrip_sweep(3, -1),
+        lambda: inverse_roundtrip_sweep(-1, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call()
+    assert list(omega_pairs(0, 2)) == []
+    assert list(omega_pairs(2, 0)) == [((1,), (0,)), ((2,), (0,)), ((1, 1), (0, 0))]
+    assert list(dominant_sequences([2, 1], 0)) == [(0, 0)]
+    assert inverse_roundtrip_sweep(0, 2).cases == 0
+    assert inverse_roundtrip_sweep(2, 0).cases == 2
+
+
 def test_default_window():
     assert default_window([4, 3, 2, 1, 1]) == 5 + 4
     assert default_window([1]) == 2
