@@ -35,6 +35,11 @@ def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(_check_int(v) for v in values)
 
 
+def _ceil_div(a: int, b: int) -> int:
+    # mathematical ceiling for b > 0, e.g. ceil(-3/2) = -1
+    return -((-a) // b)
+
+
 def _runs(values: Iterable[int]) -> list[list[int]]:
     # [value, multiplicity] for each maximal run of equal adjacent values, in order
     return [[v, sum(1 for _ in run)] for v, run in groupby(values)]
@@ -135,7 +140,7 @@ def validate_omega_pair(alpha, nu) -> OmegaPair:
     """Check that nu is dominant with respect to alpha and package the pair."""
     alpha = as_partition(alpha)
     nu = _int_tuple(nu)
-    if not is_dominant_wrt(nu, alpha):
+    if not _is_dominant(nu, alpha):
         raise ValueError(f"nu={list(nu)} is not dominant with respect to alpha={list(alpha.parts)}")
     return OmegaPair(alpha, nu)
 
@@ -147,7 +152,12 @@ def conjugate(alpha) -> Partition:
 
 def dom(iota: Iterable[int]) -> tuple[int, ...]:
     """Rearrange an integer sequence in weakly decreasing order."""
-    return tuple(sorted(_int_tuple(iota), reverse=True))
+    return _dom(_int_tuple(iota))
+
+
+def _dom(values: Iterable[int]) -> tuple[int, ...]:
+    # dom of plain ints computed from validated values, not checked again
+    return tuple(sorted(values, reverse=True))
 
 
 def two_rho(alpha) -> tuple[int, ...]:
@@ -171,14 +181,15 @@ def norm_sq(mu: Iterable[int]) -> int:
 def is_dominant_wrt(nu: Sequence[int], alpha) -> bool:
     """True iff equal adjacent parts of alpha force weakly decreasing entries of nu."""
     alpha = as_partition(alpha)
-    nu = _int_tuple(nu)
+    return _is_dominant(_int_tuple(nu), alpha)
+
+
+def _is_dominant(nu: tuple[int, ...], alpha: Partition) -> bool:
+    # nu of plain ints, not checked again; only its length is
     if len(nu) != alpha.ell:
         raise ValueError(f"nu has length {len(nu)}, expected {alpha.ell}")
-    return all(
-        nu[i] >= nu[i + 1]
-        for i in range(alpha.ell - 1)
-        if alpha.parts[i] == alpha.parts[i + 1]
-    )
+    parts = alpha.parts
+    return all(nu[i] >= nu[i + 1] for i in range(alpha.ell - 1) if parts[i] == parts[i + 1])
 
 
 def levi_blocks(mu: Sequence[int], alpha) -> tuple[tuple[int, ...], ...]:

@@ -1,16 +1,18 @@
 """Weight-diagrams form of the forward map.
 
-Each node of Algorithm W fills the first column of its rows in the right
-output diagram Y, splits its surviving rows into branches (one per distinct
-first-column entry), adjusts each branch's residual input to account for the
-other branches, and hands each branch on, with the opposite rounding mode, to
-fill the next columns of the same rows.  Y is built node by node; the left
-diagram is its column-shift preimage, X = e_inverse(Y).
+A node of Algorithm W is one pass over its positions, grouped by iota: it
+fills the first column of its rows in the right output diagram Y, cuts the
+surviving rows into branches (one per distinct first-column entry), corrects
+each branch's residual input for the other branches, and hands each branch
+on, with the opposite rounding mode, to fill the next columns of the same
+rows; `branch_plan` is the public, fully populated view of one node.  The
+left diagram is the column-shift preimage of Y, X = e_inverse(Y).
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import validate_omega_pair, _int_tuple
+from .core import validate_omega_pair, _int_tuple, _runs
 from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
 from .seq_algorithm import (
     _check_eps,
@@ -51,23 +53,23 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
 def _row_survival(alpha: tuple[int, ...], inv: tuple[int, ...],
                   iota: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     out = []
-    branch = 0
-    survivors_in_branch = 0
-    for i, value in enumerate(iota, start=1):
-        if i == 1 or value != iota[i - 2]:
-            branch += 1
-            survivors_in_branch = 0
-        if alpha[inv[i - 1] - 1] > 1:
-            survivors_in_branch += 1
-            out.append((branch, survivors_in_branch))
-        else:
-            out.append((branch, 0))
+    branch = pos = 0
+    for p, value in enumerate(iota):
+        if p == 0 or value != iota[p - 1]:
+            branch, pos = branch + 1, 0
+        survives = alpha[inv[p] - 1] > 1
+        pos += survives
+        out.append((branch, pos if survives else 0))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class BranchPlan:
-    """Everything one node of Algorithm W decides before handing on its branches."""
+    """The public, fully populated view of one node of Algorithm W.
+
+    A node is one pass over its positions, grouped by iota; `alg_W` reads
+    only each branch's rows, lengths and corrected nu from it.
+    """
 
     sigma: tuple[int, ...]
     iota: tuple[int, ...]
@@ -84,77 +86,72 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     """Rank and fill the first column, then sort the surviving rows into branches."""
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    return _branch_plan(alpha, nu, eps)
-
-
-def _branch_plan(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> BranchPlan:
-    sigma, iota = _rank_and_fill(eps, alpha, nu)
+    # the node's rows of Y are its own positions here, so Y is thrown away
+    sigma, iota, branches = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
     inv = _inverse_permutation(sigma)
     assignments = _row_survival(alpha, inv, iota)
-    k = len(set(iota))
+    survivors = [xp for xp in assignments if xp[1]]
+    if len(set(survivors)) != len(survivors):
+        raise AssertionError(f"row assignment {assignments} is not injective")
+    survivor_rows = tuple(tuple(p + 1 for p in rows) for _, _, rows in branches)
+    sub_nu = tuple(tuple(nu[inv[p - 1] - 1] - iota[p - 1] for p in rows) for rows in survivor_rows)
+    return BranchPlan(sigma, iota, assignments, len(branches), survivor_rows,
+                      tuple(tuple(sub) for sub, _, _ in branches), sub_nu,
+                      tuple(tuple(hat) for _, hat, _ in branches),
+                      tuple(m for _, m in _runs(iota)))
 
-    survivor_rows: list[list[int]] = [[] for _ in range(k)]
-    total_counts = [0] * k
-    seen = set()
-    for i, (x, pos) in enumerate(assignments, start=1):
-        total_counts[x - 1] += 1
-        if pos > 0:
-            if (x, pos) in seen:
-                raise AssertionError(f"row assignment ({x}, {pos}) is not injective")
-            seen.add((x, pos))
-            survivor_rows[x - 1].append(i)
 
-    sub_alpha = [
-        tuple(alpha[inv[i - 1] - 1] - 1 for i in rows) for rows in survivor_rows
-    ]
-    sub_nu = [
-        tuple(nu[inv[i - 1] - 1] - iota[i - 1] for i in rows) for rows in survivor_rows
-    ]
-    # a row of length a in branch x loses min(a, b) for each row b of the
-    # branches before x and gains it for each row of the branches after x;
-    # rows of equal length in one branch share this, so it is summed over
-    # per-branch length counts with running prefix counts
-    counts = [_length_counts(sub) for sub in sub_alpha]
-    total = _length_counts(a for sub in sub_alpha for a in sub)
-    before = dict.fromkeys(total, 0)
-    sub_nu_hat = []
-    for x, own in enumerate(counts):
-        # per length b: rows after x minus rows before x
-        shift = _min_overlaps({b: c - 2 * before[b] - own.get(b, 0) for b, c in total.items()})
-        sub_nu_hat.append(tuple(v + shift[a] for a, v in zip(sub_alpha[x], sub_nu[x])))
-        for b, c in own.items():
-            before[b] += c
-
-    return BranchPlan(
-        sigma=sigma,
-        iota=iota,
-        assignments=assignments,
-        k=k,
-        survivor_rows=tuple(tuple(rows) for rows in survivor_rows),
-        sub_alpha=tuple(sub_alpha),
-        sub_nu=tuple(sub_nu),
-        sub_nu_hat=tuple(sub_nu_hat),
-        total_counts=tuple(total_counts),
-    )
+def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int],
+          y_rows: list[list[int]]):
+    # One node of Algorithm W: rank and fill the first column, append it to
+    # the node's rows of Y (row p of ell gets its entry plus ell - 2p - 1),
+    # and cut the positions into runs of equal iota, one branch each.  Returns
+    # sigma, iota and, per branch, empty ones included, its surviving rows'
+    # lengths, corrected nu and rows of Y, in position order.
+    ell = len(alpha)
+    sigma, iota, at = _rank_and_fill(eps, alpha, nu)
+    branches = []
+    last = None
+    for p, (j, r) in enumerate(zip(at, rows)):
+        value = iota[p]
+        y_rows[r].append(value + ell - 2 * p - 1)
+        if value != last:
+            last = value
+            sub_alpha, sub_nu, sub_rows = branch = ([], [], [])
+            branches.append(branch)
+        a = alpha[j]
+        if a > 1:
+            sub_alpha.append(a - 1)
+            sub_nu.append(nu[j] - value)
+            sub_rows.append(r)
+    if len(branches) > 1:
+        # a row of length a in branch x loses min(a, b) for each row b of the
+        # branches before x and gains it for each row of the branches after x;
+        # rows of equal length in one branch share this, so it is summed over
+        # per-branch length counts with running prefix counts
+        total = _length_counts(a for sub_alpha, _, _ in branches for a in sub_alpha)
+        before = dict.fromkeys(total, 0)
+        for sub_alpha, sub_nu, _ in branches:
+            own = _length_counts(sub_alpha)
+            # per length b: rows after x minus rows before x
+            shift = _min_overlaps({b: c - 2 * before[b] - own.get(b, 0) for b, c in total.items()})
+            sub_nu[:] = [v + shift[a] for a, v in zip(sub_alpha, sub_nu)]
+            for b, c in own.items():
+                before[b] += c
+    return sigma, iota, branches
 
 
 def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> list[list[int]]:
     y_rows: list[list[int]] = [[] for _ in alpha]
-    # A node is one branch input, with the top-level index of each of its rows
+    # A work item is one branch input with the row of Y of each of its rows,
     # in position order.  A parent is popped before its children, so every
-    # row grows left to right.  Row p of a node of ell rows gets its
-    # first-column entry plus ell - 2p - 1, which depends on the node alone.
+    # row grows left to right.
     work = [(alpha, nu, eps, range(len(alpha)))]
     while work:
         sub_alpha, sub_nu, sub_eps, rows = work.pop()
-        ell = len(sub_alpha)
-        plan = _branch_plan(sub_alpha, sub_nu, sub_eps)
-        for p, (r, value) in enumerate(zip(rows, plan.iota)):
-            y_rows[r].append(value + ell - 2 * p - 1)
-        for x, survivors in enumerate(plan.survivor_rows):
-            if survivors:
-                child_rows = [rows[i - 1] for i in survivors]
-                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows))
+        for alpha_x, nu_x, rows_x in _node(sub_alpha, sub_nu, sub_eps, rows, y_rows)[2]:
+            if rows_x:
+                work.append((alpha_x, nu_x, -sub_eps, rows_x))
 
     if __debug__:
         # a branch may arrange its own rows freely, so only the multiset of

@@ -8,7 +8,7 @@ to bottom.
 
 from typing import Iterable, NamedTuple
 
-from .core import Partition, dom, _check_int, _column_heights
+from .core import Partition, _check_int, _column_heights, _dom
 
 __all__ = [
     "WeightDiagram",
@@ -127,23 +127,24 @@ def kappa(X) -> tuple[int, ...]:
         sums_by_length.setdefault(len(row), []).append(sum(row))
     out: list[int] = []
     for length in sorted(sums_by_length, reverse=True):
-        out.extend(dom(sums_by_length[length]))
+        out.extend(_dom(sums_by_length[length]))
     return tuple(out)
 
 
 def h_weight(X) -> tuple[int, ...]:
     """Concatenation over columns of the sorted column entries."""
     X = _as_diagram(X)
-    out: list[int] = []
-    for j in range(1, max(X.row_lengths(), default=0) + 1):
-        out.extend(dom(X.column(j)))
-    return tuple(out)
+    columns: list[list[int]] = [[] for _ in range(max(X.row_lengths(), default=0))]
+    for row in X.rows:
+        for column, v in zip(columns, row):
+            column.append(v)
+    return tuple(v for column in columns for v in _dom(column))
 
 
 def eta(Y) -> tuple[int, ...]:
     """All entries sorted in weakly decreasing order."""
     Y = _as_diagram(Y)
-    return dom(v for row in Y.rows for v in row)
+    return _dom(v for row in Y.rows for v in row)
 
 
 def truncate_columns(X, j: int) -> WeightDiagram:

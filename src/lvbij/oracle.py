@@ -19,6 +19,7 @@ from math import comb
 
 from .core import (
     Partition,
+    _ceil_div,
     as_partition,
     dom,
     norm_sq,
@@ -175,10 +176,6 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     _check_bound("window", window)
     for rows in product(*_filling_rows(alpha, nu, window)):
         yield WeightDiagram(rows)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def min_norm_over_fillings(alpha, nu, window: int) -> int:

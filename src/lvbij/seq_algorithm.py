@@ -12,14 +12,16 @@ them in one pass that compares only the heads of the length classes: O(l*d)
 per stage for l rows of d distinct lengths.
 """
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     as_partition,
-    dom,
     two_rho,
     validate_omega_pair,
+    _ceil_div,
     _check_int,
+    _dom,
     _int_tuple,
 )
 
@@ -32,11 +34,6 @@ __all__ = [
     "alg_A_stages",
     "gamma_forward",
 ]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    # mathematical ceiling for b > 0, e.g. ceil(-3/2) = -1
-    return -((-a) // b)
 
 
 def _check_eps(eps) -> int:
@@ -138,19 +135,20 @@ def _class_totals(alpha: tuple[int, ...]) -> dict[int, int]:
     return {a: t - a for a, t in _min_overlaps(_length_counts(alpha)).items()}
 
 
-def _rank_and_fill(eps: int, alpha: tuple[int, ...],
-                   nu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # One pass computes ranking's sigma and column_seq's iota for that sigma.
-    # Rows of length a share the overlap total T_a with all other rows and the
-    # overlap C_a with the rows already picked, so within a class the key
-    # depends only on the entry: the class is a queue ordered by (-nu, index)
-    # for eps = -1 and by (nu, -index) for eps = +1, and each pick compares
-    # the d class heads.  Keys of different classes differ in their length, so
-    # they never tie.  With v = -eps * nu and slack = T_a - 2 C_a, both modes
-    # maximize (ceil((v + slack) / a), a, v), and the row's candidate is
-    # -eps times the first component.  For eps = +1 the picked rows are the
-    # ones after the row, and T_a - 2 * before = 2 * after - T_a, so the
-    # candidate is also column_seq's numerator over the length.
+def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    # One pass computes ranking's sigma, column_seq's iota for that sigma and
+    # the row at each position.  Rows of length a share the overlap total T_a
+    # with all other rows and the overlap C_a with the rows already picked, so
+    # a class is a queue ordered by its entries, by (-nu, index) for eps = -1
+    # and by (nu, -index) for eps = +1, and each pick compares the d heads.
+    # With v = -eps * nu and slack = T_a - 2 C_a, both modes maximize
+    # (ceil((v + slack) / a), a, v); class keys differ in a, so they never
+    # tie.  The row's candidate is -eps times the first component: for
+    # eps = +1 the picked rows are the ones after the row, and
+    # T_a - 2 * before = 2 * after - T_a, column_seq's numerator.  A pick of
+    # length b lowers every slack by 2 * min(a, b); the next pick's scan
+    # applies that as it reads the slack, so each pick is one loop.
     ell = len(alpha)
     order = sorted(range(ell), key=nu.__getitem__, reverse=True)  # by (-nu, index)
     if eps == 1:
@@ -158,31 +156,32 @@ def _rank_and_fill(eps: int, alpha: tuple[int, ...],
     queues: dict[int, list[int]] = {}
     for j in reversed(order):  # each queue's head goes last, for pop()
         queues.setdefault(alpha[j], []).append(j)
+    v_of = nu if eps == -1 else [-x for x in nu]
     live = [[a, total, queues[a]] for a, total in _class_totals(alpha).items()]
-    sigma = [0] * ell
-    iota = [0] * ell
+    sigma, iota, at = [0] * ell, [0] * ell, [0] * ell  # at[p - 1]: the row at position p
     bound = None  # running min (eps = -1) or max (eps = +1) of the raw entries
+    b = 0  # length of the previous pick; 0 lowers nothing
     for step in range(ell):
-        best = best_key = None
+        best = None
         for cls in live:
-            a, slack, queue = cls
-            v = -eps * nu[queue[-1]]
-            key = (-(-(v + slack) // a), a, v)
-            if best_key is None or key > best_key:
-                best, best_key = cls, key
-        a, _, queue = best
+            a = cls[0]
+            slack = cls[1] = cls[1] - 2 * (a if a < b else b)
+            c = -(-(v_of[cls[2][-1]] + slack) // a)
+            if best is None or c > best_c or c == best_c and a > best_a:
+                best, best_c, best_a = cls, c, a
+        b = best_a
+        queue = best[2]
         j = queue.pop()
         if not queue:
             live.remove(best)
-        for cls in live:
-            cls[1] -= 2 * min(cls[0], a)
         p = step + 1 if eps == -1 else ell - step
-        raw = -eps * best_key[0] + 2 * p - ell - 1
+        raw = -eps * best_c + 2 * p - ell - 1
         if bound is not None:
             raw = min(raw, bound) if eps == -1 else max(raw, bound)
         bound = iota[p - 1] = raw
         sigma[j] = p
-    return tuple(sigma), tuple(iota)
+        at[p - 1] = j
+    return tuple(sigma), tuple(iota), at
 
 
 def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
@@ -209,14 +208,9 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
         c = _ceil_div(numer, a) if eps == -1 else numer // a
         raw.append(c + 2 * p - ell - 1)
         placed[a] += 1
-    iota = [0] * ell
     if eps == -1:
-        for p in range(ell):
-            iota[p] = raw[p] if p == 0 else min(raw[p], iota[p - 1])
-    else:
-        for p in reversed(range(ell)):
-            iota[p] = raw[p] if p == ell - 1 else max(raw[p], iota[p + 1])
-    return tuple(iota)
+        return tuple(accumulate(raw, min))
+    return tuple(accumulate(reversed(raw), max))[::-1]
 
 
 def _reduce_input(alpha, nu, sigma, mu1):
@@ -243,7 +237,7 @@ class Stage(NamedTuple):
 def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[Stage]:
     stages = []
     while True:
-        sigma, mu = _rank_and_fill(-1, alpha, nu)
+        sigma, mu, _ = _rank_and_fill(-1, alpha, nu)
         stages.append(Stage(alpha, nu, sigma, mu))
         if alpha[0] == 1:
             return stages
@@ -282,4 +276,4 @@ def gamma_forward(alpha, nu) -> tuple[int, ...]:
     alpha, nu = validate_omega_pair(alpha, nu)
     mu = _alg_A(alpha.parts, nu)
     rho2 = two_rho(alpha)
-    return dom(m + r for m, r in zip(mu, rho2, strict=True))
+    return _dom(m + r for m, r in zip(mu, rho2, strict=True))

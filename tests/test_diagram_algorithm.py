@@ -104,6 +104,47 @@ def test_branch_correction_over_many_rows_of_few_lengths():
             assert plan.sub_nu_hat == tuple(expected)
 
 
+def branch_plan_worklist(alpha, nu, eps):
+    # Algorithm W as a worklist driven by the public branch_plan: each node
+    # appends its first column to its rows of Y (row p of ell shifted by
+    # ell - 2p - 1) and hands on each non-empty branch's surviving rows with
+    # their lengths, corrected nu and the opposite rounding mode
+    y_rows = [[] for _ in alpha]
+    work = [(alpha, nu, eps, list(range(len(alpha))))]
+    while work:
+        sub_alpha, sub_nu, sub_eps, rows = work.pop()
+        ell = len(sub_alpha)
+        plan = branch_plan(sub_alpha, sub_nu, sub_eps)
+        for p, (r, value) in enumerate(zip(rows, plan.iota)):
+            y_rows[r].append(value + ell - 2 * p - 1)
+        for x, survivors in enumerate(plan.survivor_rows):
+            if survivors:
+                child_rows = [rows[i - 1] for i in survivors]
+                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows))
+    return WeightDiagram(y_rows)
+
+
+def test_alg_W_matches_branch_plan_worklist():
+    rng = random.Random(59)
+    cases = []
+    for _ in range(300):
+        ell = rng.randint(1, 9)
+        cases.append(([rng.randint(1, 6) for _ in range(ell)],
+                      [rng.randint(-8, 8) for _ in range(ell)]))
+    for _ in range(60):
+        ell = rng.randint(1, 30)
+        lengths = rng.sample(range(1, 9), rng.randint(1, 3))
+        cases.append(([rng.choice(lengths) for _ in range(ell)],
+                      [rng.randint(-5, 5) for _ in range(ell)]))
+    for s in range(1, 31):
+        cases.append((list(range(s, 0, -1)), [rng.randint(-3, 3) for _ in range(s)]))
+    for n in (1, 2, 3, 10, 57, 300):
+        cases.append(([n], [rng.randint(-n, n)]))
+    for alpha, nu in cases:
+        for eps in (-1, 1):
+            assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps)
+
+
 def test_gamma_via_diagrams_examples():
     assert gamma_via_diagrams([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (
         8, 7, 6, 6, 5, 4, 3, 3, 2, 2, 0,

@@ -96,6 +96,20 @@ def test_h_weight_examples():
     assert h_weight([[7]]) == (7,)
 
 
+def test_h_weight_matches_column_by_column_transcription():
+    # h_weight gathers the columns in one pass over the boxes; read each
+    # column on its own instead, through WeightDiagram.column
+    rng = random.Random(47)
+    for _ in range(400):
+        X = random_diagram(rng, max_boxes=rng.choice([5, 30, 200]), bound=rng.choice([1, 5, 40]))
+        width = max(X.row_lengths())
+        expected = []
+        for j in range(1, width + 1):
+            expected.extend(sorted(X.column(j), reverse=True))
+        assert h_weight(X) == tuple(expected)
+        assert h_weight([list(row) for row in X.rows]) == tuple(expected)
+
+
 def test_eta_examples():
     assert eta(GOLDEN_Y) == (8, 7, 6, 6, 5, 4, 3, 3, 2, 2, 0)
     assert eta([[7]]) == (7,)
