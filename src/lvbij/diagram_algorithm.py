@@ -102,7 +102,7 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
 
 
 def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int],
-          y_rows: list[list[int]]):
+          y_rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...], list]:
     # One node of Algorithm W: rank and fill the first column, append it to
     # the node's rows of Y (row p of ell gets its entry plus ell - 2p - 1),
     # and cut the positions into runs of equal iota, one branch each.  Returns
