@@ -32,7 +32,10 @@ def _check_int(value) -> int:
 
 
 def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(_check_int(v) for v in values)
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:  # plain ints pass as they are
+        return values
+    return tuple(map(_check_int, values))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -42,17 +45,19 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _runs(values: Iterable[int]) -> list[list[int]]:
     # [value, multiplicity] for each maximal run of equal adjacent values, in order
-    return [[v, sum(1 for _ in run)] for v, run in groupby(values)]
+    return [[v, len(list(run))] for v, run in groupby(values)]
 
 
 def _column_heights(lengths: Sequence[int]) -> list[int]:
-    # entry j-1 counts the positive lengths that are >= j: tally each length,
-    # then take suffix sums, O(len(lengths) + max(lengths))
-    heights = [0] * max(lengths, default=0)
-    for a in lengths:
-        heights[a - 1] += 1
-    for j in reversed(range(len(heights) - 1)):
-        heights[j] += heights[j + 1]
+    # entry j-1 counts the positive lengths that are >= j: in increasing
+    # order, each length extends the columns to itself with the count of the
+    # lengths not yet passed, O(len(lengths) log len(lengths) + max(lengths))
+    heights: list[int] = []
+    count = len(lengths)
+    for a in sorted(lengths):
+        if a > len(heights):
+            heights += [count] * (a - len(heights))
+        count -= 1
     return heights
 
 
@@ -76,6 +81,14 @@ class Partition:
                 raise ValueError(f"partition parts must be weakly decreasing, got {list(parts)}")
         self.parts = parts
 
+    @classmethod
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
+        # positive, weakly decreasing plain ints computed from validated
+        # values: built without checking every part again
+        p = object.__new__(cls)
+        p.parts = tuple(parts)
+        return p
+
     @property
     def n(self) -> int:
         """Total number of boxes (the integer being partitioned)."""
@@ -93,7 +106,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Column lengths: the j-th part counts the parts of self that are >= j."""
-        return Partition(_column_heights(self.parts))
+        return Partition._trusted(_column_heights(self.parts))
 
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
         """The distinct part values in decreasing order, each with its multiplicity."""

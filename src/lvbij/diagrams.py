@@ -6,6 +6,7 @@ consists of the j-th entries of the rows long enough to reach it, read top
 to bottom.
 """
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .core import Partition, _check_int, _column_heights, _dom
@@ -89,7 +90,7 @@ def shape_class(X) -> Partition:
     X = _as_diagram(X)
     if not X.rows:
         raise ValueError("the empty diagram has no shape-class")
-    return Partition(sorted(X.row_lengths(), reverse=True))
+    return Partition._trusted(sorted(X.row_lengths(), reverse=True))
 
 
 def _apply_column_shift(X: WeightDiagram, direction: int) -> WeightDiagram:
@@ -122,13 +123,34 @@ def kappa(X) -> tuple[int, ...]:
     The result is dominant with respect to the shape-class.
     """
     X = _as_diagram(X)
+    return _kappa((len(row), sum(row)) for row in X.rows)
+
+
+def _kappa(lengths_and_sums: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     sums_by_length: dict[int, list[int]] = {}
-    for row in X.rows:
-        sums_by_length.setdefault(len(row), []).append(sum(row))
+    for length, total in lengths_and_sums:
+        sums_by_length.setdefault(length, []).append(total)
     out: list[int] = []
     for length in sorted(sums_by_length, reverse=True):
         out.extend(_dom(sums_by_length[length]))
     return tuple(out)
+
+
+def _preimage_readout(rows: list[list[int]]) -> tuple[Partition, tuple[int, ...]]:
+    # (shape_class(X), kappa(X)) for X = e_inverse(Y), read off the rows of Y
+    # without building X.  e_inverse keeps the row lengths and takes
+    # h_j - 1 - 2 * above_j off entry j, with h_j the height of column j and
+    # above_j the rows above that reach it; top[j] holds h_j - 2 * above_j,
+    # lowered as far as a row below still reads it.  O(boxes).
+    lengths = [len(row) for row in rows]
+    top = _column_heights(lengths)
+    below = list(accumulate(reversed(lengths), max, initial=0))[-2::-1]  # longest row below
+    sums = []
+    for row, length, reach in zip(rows, lengths, below):
+        sums.append(sum(row) - sum(top[:length]) + length)
+        cut = min(length, reach)
+        top[:cut] = [d - 2 for d in top[:cut]]
+    return Partition._trusted(sorted(lengths, reverse=True)), _kappa(zip(lengths, sums))
 
 
 def h_weight(X) -> tuple[int, ...]:

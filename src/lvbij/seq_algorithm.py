@@ -12,7 +12,7 @@ them in one pass that compares only the heads of the length classes: O(l*d)
 per stage for l rows of d distinct lengths.
 """
 
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -150,14 +150,20 @@ def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
     # length b lowers every slack by 2 * min(a, b); the next pick's scan
     # applies that as it reads the slack, so each pick is one loop.
     ell = len(alpha)
-    order = sorted(range(ell), key=nu.__getitem__, reverse=True)  # by (-nu, index)
-    if eps == 1:
-        order.reverse()
-    queues: dict[int, list[int]] = {}
-    for j in reversed(order):  # each queue's head goes last, for pop()
-        queues.setdefault(alpha[j], []).append(j)
     v_of = nu if eps == -1 else [-x for x in nu]
-    live = [[a, total, queues[a]] for a, total in _class_totals(alpha).items()]
+    # ordered by (length, v, eps * index), the rows lay the classes out in
+    # increasing length, each queue's head last, for pop() (two stable sorts,
+    # the first over the indices in eps * index order); one sweep over the
+    # classes then gives T_a = low + a * (high - 1), with low the total
+    # length of the shorter rows and high the number of rows of length >= a
+    order = sorted(range(ell)[::eps], key=v_of.__getitem__)
+    order.sort(key=alpha.__getitem__)
+    live = []
+    low, high = 0, ell
+    for a, queue in groupby(order, key=alpha.__getitem__):
+        queue = list(queue)
+        live.append([a, low + a * (high - 1), queue])
+        low, high = low + a * len(queue), high - len(queue)
     sigma, iota, at = [0] * ell, [0] * ell, [0] * ell  # at[p - 1]: the row at position p
     bound = None  # running min (eps = -1) or max (eps = +1) of the raw entries
     b = 0  # length of the previous pick; 0 lowers nothing

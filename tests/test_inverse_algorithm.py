@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from lvbij import inverse_algorithm
 from lvbij import (
     OmegaPair,
     Partition,
@@ -10,6 +11,7 @@ from lvbij import (
     alg_B,
     alg_W,
     clumps,
+    e_inverse,
     eta,
     gamma_forward,
     gamma_inverse,
@@ -17,6 +19,7 @@ from lvbij import (
     kappa,
     majuscule_extract,
     omega_pairs,
+    shape_class,
 )
 
 
@@ -195,8 +198,10 @@ def entrywise_alg_B(lam, eps):
 
 
 def seeded_weights(rng):
-    # short weights of every spread, then long ones built from runs of 200 or
-    # more equal entries
+    # short weights of every spread; long ones built from runs of 200 or more
+    # equal entries; long dense ones over a contiguous range, where a clump
+    # repeats its levels until a run empties; and two-value splits into
+    # nearly balanced runs, where one period takes both values
     for _ in range(400):
         k = rng.randint(1, 30)
         span = rng.randint(0, 12)
@@ -204,6 +209,14 @@ def seeded_weights(rng):
     for _ in range(12):
         values = sorted(rng.sample(range(-8, 8), rng.randint(1, 4)), reverse=True)
         yield tuple(v for v in values for _ in range(rng.randint(200, 260)))
+    for _ in range(8):
+        k = rng.randint(600, 1000)
+        lo = rng.randint(-3, 2)
+        hi = min(3, lo + rng.randint(1, 6))
+        yield tuple(sorted((rng.randint(lo, hi) for _ in range(k)), reverse=True))
+    for _ in range(8):
+        v, m = rng.randint(-3, 3), rng.randint(100, 300)
+        yield (v,) * (m + rng.randint(-2, 2)) + (v - 1,) * m
 
 
 def test_alg_B_matches_entrywise_construction():
@@ -211,6 +224,43 @@ def test_alg_B_matches_entrywise_construction():
     for lam in seeded_weights(rng):
         for eps in (-1, 1):
             assert alg_B(lam, eps) == entrywise_alg_B(lam, eps), (lam, eps)
+
+
+def test_periods_wait_for_both_attachments(monkeypatch):
+    # a batch of periods repeats the attachments F' -> F and F -> F' of the
+    # last two levels, so it may start only once both have run and been
+    # checked: at the third level that emptied no run, when each row of a
+    # top-level clump holds the three entries of its first three levels
+    first_batch = {}
+    repeat_periods = inverse_algorithm._repeat_periods
+
+    def recording(clump, first_col, last_col, placed):
+        first_batch.setdefault("lengths", {len(row) for row in placed.values()})
+        repeat_periods(clump, first_col, last_col, placed)
+
+    monkeypatch.setattr(inverse_algorithm, "_repeat_periods", recording)
+    for lam in ((0,) * 50, (1,) * 40 + (0,) * 40, (3,) * 30 + (2,) * 31 + (1,) * 30):
+        for eps in (-1, 1):
+            first_batch.clear()
+            assert alg_B(lam, eps) == entrywise_alg_B(lam, eps)
+            assert first_batch["lengths"] == {3}, (lam, eps)
+
+
+def test_gamma_inverse_reads_the_unshifted_diagram():
+    rng = random.Random(67)
+    for lam in seeded_weights(rng):
+        X = e_inverse(alg_B(lam, -1))
+        assert gamma_inverse(lam) == (shape_class(X), kappa(X)), lam
+
+
+def test_inverse_of_long_inputs():
+    # 10^5 equal entries repeat one period about n/2 times; a dense weight
+    # of 10^5 entries over seven values runs several clumps and periods
+    assert gamma_inverse((0,) * 100000) == ((100000,), (0,))
+    rng = random.Random(71)
+    lam = tuple(sorted((rng.randint(-3, 3) for _ in range(100000)), reverse=True))
+    alpha, nu = gamma_inverse(lam)
+    assert gamma_forward(alpha, nu) == lam
 
 
 def test_deep_inputs_under_default_recursion_limit():
