@@ -23,8 +23,8 @@ one entry per level it is taken at.  Algorithm B follows a clump in place
 while its levels empty no run.  After three such levels it runs, in one
 step, as many two-level periods as leave every run non-empty; three, so
 that both attachments of a period have run, with their checks, at full cost
-once.  A level costs O(runs of its clump), and so does a batch of periods,
-whatever their number.
+once.  Besides the entries it appends, a level costs O(runs of its clump),
+and so does a batch of periods, whatever their number.
 """
 
 from itertools import chain, repeat

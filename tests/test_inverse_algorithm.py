@@ -201,7 +201,7 @@ def seeded_weights(rng):
     # short weights of every spread; long ones built from runs of 200 or more
     # equal entries; long dense ones over a contiguous range, where a clump
     # repeats its levels until a run empties; and two-value splits into
-    # nearly balanced runs, where one period takes both values
+    # nearly balanced runs, where a period takes one entry of each value
     for _ in range(400):
         k = rng.randint(1, 30)
         span = rng.randint(0, 12)
