@@ -2,11 +2,13 @@
 
 Subcommands: forward, inverse, diagram, verify, enumerate.  Sequences are
 comma-separated signed integers.  Exit codes: 0 success, 1 verification
-failure, 2 parse or validation error.
+failure, 2 parse or validation error, 141 (128 + SIGPIPE) when the reader
+closes stdout early, as `| head` does.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .diagram_algorithm import alg_W, gamma_via_diagrams
@@ -173,10 +175,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at interpreter
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

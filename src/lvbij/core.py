@@ -2,7 +2,8 @@
 
 Everything here is exact integer arithmetic on immutable values: partitions,
 integer sequences, Levi-block weights, and the doubled half-sum of positive
-roots.  No floating point is ever involved.
+roots.  No floating point is ever involved.  The input rules of every
+module live here too, as the `_check_*` helpers that public functions call.
 """
 
 import operator
@@ -12,8 +13,6 @@ from typing import Iterable, NamedTuple, Sequence
 __all__ = [
     "Partition",
     "OmegaPair",
-    "as_partition",
-    "conjugate",
     "dom",
     "two_rho",
     "norm_sq",
@@ -31,11 +30,57 @@ def _check_int(value) -> int:
     return operator.index(value)
 
 
+def _check_bound(name: str, value, least: int = 0) -> int:
+    value = _check_int(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_eps(eps) -> int:
+    eps = _check_int(eps)
+    if eps not in (-1, 1):
+        raise ValueError(f"eps must be -1 or 1, got {eps!r}")
+    return eps
+
+
+def _check_length(name: str, values: Sequence, expected: int) -> None:
+    if len(values) != expected:
+        raise ValueError(f"{name} has length {len(values)}, expected {expected}")
+
+
 def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     values = tuple(values)
     if set(map(type, values)) <= {int}:  # plain ints pass as they are
         return values
     return tuple(map(_check_int, values))
+
+
+def _check_rows(alpha, nu) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    alpha = _int_tuple(alpha)
+    nu = _int_tuple(nu)
+    if not alpha:
+        raise ValueError("empty input: at least one row is required")
+    if len(alpha) != len(nu):
+        raise ValueError(f"alpha and nu must have equal length, got {len(alpha)} and {len(nu)}")
+    if min(alpha) < 1:
+        raise ValueError(f"row lengths must be positive, got {list(alpha)}")
+    return alpha, nu
+
+
+def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
+    sigma = _int_tuple(sigma)
+    if sorted(sigma) != list(range(1, ell + 1)):
+        raise ValueError(f"not a permutation of 1..{ell}: {list(sigma)}")
+    return sigma
+
+
+def _inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    # one-line notation, 1-based values
+    inv = [0] * len(sigma)
+    for i, p in enumerate(sigma, start=1):
+        inv[p - 1] = i
+    return tuple(inv)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -135,7 +180,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-def as_partition(alpha) -> Partition:
+def _as_partition(alpha) -> Partition:
     """Coerce a Partition or any sequence of parts into a validated Partition."""
     if isinstance(alpha, Partition):
         return alpha
@@ -151,16 +196,11 @@ class OmegaPair(NamedTuple):
 
 def validate_omega_pair(alpha, nu) -> OmegaPair:
     """Check that nu is dominant with respect to alpha and package the pair."""
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     nu = _int_tuple(nu)
     if not _is_dominant(nu, alpha):
         raise ValueError(f"nu={list(nu)} is not dominant with respect to alpha={list(alpha.parts)}")
     return OmegaPair(alpha, nu)
-
-
-def conjugate(alpha) -> Partition:
-    """Conjugate (transpose) partition."""
-    return as_partition(alpha).conjugate()
 
 
 def dom(iota: Iterable[int]) -> tuple[int, ...]:
@@ -179,7 +219,7 @@ def two_rho(alpha) -> tuple[int, ...]:
     Concatenates, for each column of height h, the block [h-1, h-3, ..., 1-h].
     Each block sums to zero and the whole sequence has length n.
     """
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     out: list[int] = []
     for h in _column_heights(alpha.parts):
         out.extend(range(h - 1, -h, -2))
@@ -193,24 +233,22 @@ def norm_sq(mu: Iterable[int]) -> int:
 
 def is_dominant_wrt(nu: Sequence[int], alpha) -> bool:
     """True iff equal adjacent parts of alpha force weakly decreasing entries of nu."""
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     return _is_dominant(_int_tuple(nu), alpha)
 
 
 def _is_dominant(nu: tuple[int, ...], alpha: Partition) -> bool:
     # nu of plain ints, not checked again; only its length is
-    if len(nu) != alpha.ell:
-        raise ValueError(f"nu has length {len(nu)}, expected {alpha.ell}")
+    _check_length("nu", nu, alpha.ell)
     parts = alpha.parts
     return all(nu[i] >= nu[i + 1] for i in range(alpha.ell - 1) if parts[i] == parts[i + 1])
 
 
 def levi_blocks(mu: Sequence[int], alpha) -> tuple[tuple[int, ...], ...]:
     """Split a length-n sequence into consecutive blocks of the column lengths."""
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     mu = _int_tuple(mu)
-    if len(mu) != alpha.n:
-        raise ValueError(f"mu has length {len(mu)}, expected {alpha.n}")
+    _check_length("mu", mu, alpha.n)
     blocks = []
     start = 0
     for h in _column_heights(alpha.parts):

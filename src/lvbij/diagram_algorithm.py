@@ -6,23 +6,23 @@ surviving rows into branches (one per distinct first-column entry), corrects
 each branch's residual input for the other branches, and hands each branch
 on, with the opposite rounding mode, to fill the next columns of the same
 rows; `branch_plan` is the public, fully populated view of one node.  The
-left diagram is the column-shift preimage of Y, X = e_inverse(Y).
+left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
+is checked with the helpers of `core`, and the nodes trust it.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import validate_omega_pair, _int_tuple, _runs
-from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
-from .seq_algorithm import (
+from .core import (
+    validate_omega_pair,
     _check_eps,
     _check_permutation,
     _check_rows,
     _inverse_permutation,
-    _length_counts,
-    _min_overlaps,
-    _rank_and_fill,
+    _runs,
 )
+from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
+from .seq_algorithm import _length_counts, _min_overlaps, _rank_and_fill
 
 __all__ = [
     "BranchPlan",
@@ -40,18 +40,10 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     entries; it survives iff its length exceeds 1, and its position counts the
     surviving rows with the same iota value so far.
     """
-    alpha = _int_tuple(alpha)
-    iota = _int_tuple(iota)
+    alpha, iota = _check_rows(alpha, iota)
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
         raise ValueError(f"iota must be weakly decreasing, got {list(iota)}")
-    if len(alpha) != len(iota):
-        raise ValueError("alpha and iota must have equal length")
-    sigma = _check_permutation(sigma, len(alpha))
-    return _row_survival(alpha, _inverse_permutation(sigma), iota)
-
-
-def _row_survival(alpha: tuple[int, ...], inv: tuple[int, ...],
-                  iota: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    inv = _inverse_permutation(_check_permutation(sigma, len(alpha)))
     out = []
     branch = pos = 0
     for p, value in enumerate(iota):
@@ -60,6 +52,9 @@ def _row_survival(alpha: tuple[int, ...], inv: tuple[int, ...],
         survives = alpha[inv[p] - 1] > 1
         pos += survives
         out.append((branch, pos if survives else 0))
+    survivors = [xp for xp in out if xp[1]]
+    if len(set(survivors)) != len(survivors):
+        raise AssertionError(f"row assignment {out} is not injective")
     return tuple(out)
 
 
@@ -73,7 +68,6 @@ class BranchPlan:
 
     sigma: tuple[int, ...]
     iota: tuple[int, ...]
-    assignments: tuple[tuple[int, int], ...]  # row_survival output, per top-level row
     k: int  # number of branches, empty ones included
     survivor_rows: tuple[tuple[int, ...], ...]  # per branch: top-level rows, in position order
     sub_alpha: tuple[tuple[int, ...], ...]
@@ -89,13 +83,9 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     # the node's rows of Y are its own positions here, so Y is thrown away
     sigma, iota, branches = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
     inv = _inverse_permutation(sigma)
-    assignments = _row_survival(alpha, inv, iota)
-    survivors = [xp for xp in assignments if xp[1]]
-    if len(set(survivors)) != len(survivors):
-        raise AssertionError(f"row assignment {assignments} is not injective")
     survivor_rows = tuple(tuple(p + 1 for p in rows) for _, _, rows in branches)
     sub_nu = tuple(tuple(nu[inv[p - 1] - 1] - iota[p - 1] for p in rows) for rows in survivor_rows)
-    return BranchPlan(sigma, iota, assignments, len(branches), survivor_rows,
+    return BranchPlan(sigma, iota, len(branches), survivor_rows,
                       tuple(tuple(sub) for sub, _, _ in branches), sub_nu,
                       tuple(tuple(hat) for _, hat, _ in branches),
                       tuple(m for _, m in _runs(iota)))

@@ -3,13 +3,14 @@
 A weight diagram is an ordered list of non-empty integer rows of possibly
 unequal lengths; row order is significant and never normalized.  Column j
 consists of the j-th entries of the rows long enough to reach it, read top
-to bottom.
+to bottom.  The `WeightDiagram` constructor and the helpers of `core` check
+input; diagrams built from checked values skip that through `_trusted`.
 """
 
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
-from .core import Partition, _check_int, _column_heights, _dom
+from .core import Partition, _check_bound, _check_int, _column_heights, _dom
 
 __all__ = [
     "WeightDiagram",
@@ -24,7 +25,6 @@ __all__ = [
     "concat",
     "is_distinguished",
     "render_diagram",
-    "parse_diagram",
 ]
 
 
@@ -50,8 +50,7 @@ class WeightDiagram:
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (1-based), top to bottom."""
-        if j < 1:
-            raise ValueError(f"column index must be >= 1, got {j}")
+        j = _check_bound("column index", j, 1)
         return tuple(row[j - 1] for row in self.rows if len(row) >= j)
 
     def row_lengths(self) -> tuple[int, ...]:
@@ -172,10 +171,8 @@ def eta(Y) -> tuple[int, ...]:
 def truncate_columns(X, j: int) -> WeightDiagram:
     """Drop the leftmost j-1 columns, then drop the rows left empty."""
     X = _as_diagram(X)
-    _check_int(j)
-    if j < 1:
-        raise ValueError(f"column index must be >= 1, got {j}")
-    return WeightDiagram(row[j - 1 :] for row in X.rows if len(row) >= j)
+    j = _check_bound("column index", j, 1)
+    return WeightDiagram._trusted(row[j - 1 :] for row in X.rows if len(row) >= j)
 
 
 def concat(*diagrams) -> WeightDiagram:
@@ -183,7 +180,7 @@ def concat(*diagrams) -> WeightDiagram:
     rows: list[tuple[int, ...]] = []
     for d in diagrams:
         rows.extend(_as_diagram(d).rows)
-    return WeightDiagram(rows)
+    return WeightDiagram._trusted(rows)
 
 
 def _adjacent_steps_ok(Y: WeightDiagram, eps: int) -> bool:
@@ -260,13 +257,3 @@ def render_diagram(X) -> str:
     X = _as_diagram(X)
     return "\n".join(" ".join(str(v) for v in row) for row in X.rows)
 
-
-def parse_diagram(text: str) -> WeightDiagram:
-    """Parse the render_diagram format; an empty string is the empty diagram."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            raise ValueError("blank line inside diagram text")
-        rows.append([int(tok) for tok in line.split()])
-    return WeightDiagram(rows)

@@ -24,14 +24,14 @@ while its levels empty no run.  After three such levels it runs, in one
 step, as many two-level periods as leave every run non-empty; three, so
 that both attachments of a period have run, with their checks, at full cost
 once.  Besides the entries it appends, a level costs O(runs of its clump),
-and so does a batch of periods, whatever their number.
+and so does a batch of periods, whatever their number.  Inputs are checked
+once, by `core._check_eps` and `_dominant_runs`, which yields the runs.
 """
 
 from itertools import chain, repeat
 
-from .core import OmegaPair, _int_tuple, _runs
+from .core import OmegaPair, _check_eps, _int_tuple, _runs
 from .diagrams import WeightDiagram, _preimage_readout
-from .seq_algorithm import _check_eps
 
 __all__ = [
     "InternalConsistencyError",

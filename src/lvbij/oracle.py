@@ -7,7 +7,8 @@ are found by a search over fillings and row orders that places a row only if
 it meets the conditions of `is_distinguished` that the rows above it already
 decide, and the sweep harnesses grind through every small input checking the
 advertised identities.  Both searches return what the plain enumeration
-returns; `tests/test_oracle.py` checks them against it.
+returns; `tests/test_oracle.py` checks them against it.  The public
+functions check their bounds and windows with the helpers of `core`.
 """
 
 from bisect import insort
@@ -19,12 +20,14 @@ from math import comb
 
 from .core import (
     Partition,
-    _ceil_div,
-    as_partition,
     dom,
     norm_sq,
     two_rho,
     validate_omega_pair,
+    _as_partition,
+    _ceil_div,
+    _check_bound,
+    _check_int,
 )
 from .diagrams import (
     WeightDiagram,
@@ -73,20 +76,16 @@ def partitions_of(n: int) -> Iterator[Partition]:
             for rest in rec(remaining - p, p):
                 yield (p,) + rest
 
+    n = _check_int(n)
     if n >= 1:
         for parts in rec(n, n):
-            yield Partition(parts)
-
-
-def _check_bound(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+            yield Partition._trusted(parts)
 
 
 def dominant_sequences(alpha, entry_bound: int) -> Iterator[tuple[int, ...]]:
     """All sequences dominant with respect to alpha with entries in [-bound, bound]."""
-    alpha = as_partition(alpha)
-    _check_bound("entry_bound", entry_bound)
+    alpha = _as_partition(alpha)
+    entry_bound = _check_bound("entry_bound", entry_bound)
     values = range(entry_bound, -entry_bound - 1, -1)
     block_choices = [
         combinations_with_replacement(values, mult)
@@ -97,8 +96,8 @@ def dominant_sequences(alpha, entry_bound: int) -> Iterator[tuple[int, ...]]:
 
 def omega_pairs(n_max: int, entry_bound: int) -> Iterator[tuple[Partition, tuple[int, ...]]]:
     """All valid (alpha, nu) with |alpha| <= n_max and |nu_i| <= entry_bound."""
-    _check_bound("n_max", n_max)
-    _check_bound("entry_bound", entry_bound)
+    n_max = _check_bound("n_max", n_max)
+    entry_bound = _check_bound("entry_bound", entry_bound)
     return (
         (alpha, nu)
         for n in range(1, n_max + 1)
@@ -109,7 +108,7 @@ def omega_pairs(n_max: int, entry_bound: int) -> Iterator[tuple[Partition, tuple
 
 def default_window(alpha) -> int:
     """Window half-width used by the sweeps: number of rows plus number of columns."""
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     return alpha.ell + alpha.s
 
 
@@ -173,9 +172,9 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     Entries of row i stay within `window` of the balanced split of nu[i].
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    _check_bound("window", window)
+    window = _check_bound("window", window)
     for rows in product(*_filling_rows(alpha, nu, window)):
-        yield WeightDiagram(rows)
+        yield WeightDiagram._trusted(rows)
 
 
 def min_norm_over_fillings(alpha, nu, window: int) -> int:
@@ -193,7 +192,7 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     that of the plain enumeration.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    _check_bound("window", window)
+    window = _check_bound("window", window)
     if not _state_count(alpha, nu, window):
         raise SearchSpaceError("the window admits no fillings at all")
     lengths = alpha.parts
@@ -293,7 +292,7 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     above).  Each full diagram is then checked with `is_distinguished`.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
-    _check_bound("window", window)
+    window = _check_bound("window", window)
     _state_count(alpha, nu, window)
     heights = alpha.conjugate().parts
     unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
@@ -440,8 +439,8 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
 
 def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
     """Exhaustive inverse-side verification over all small dominant weights."""
-    _check_bound("max_len", max_len)
-    _check_bound("entry_bound", entry_bound)
+    max_len = _check_bound("max_len", max_len)
+    entry_bound = _check_bound("entry_bound", entry_bound)
     report = SweepReport(label=f"inverse sweep len<={max_len}, |entry|<={entry_bound}")
     values = range(entry_bound, -entry_bound - 1, -1)
     for k in range(1, max_len + 1):

@@ -9,20 +9,26 @@ doubled half-sum of positive roots.
 Rows of equal length share their overlap with all other rows and with the
 rows ranked so far, so a stage groups its rows by length and ranks and fills
 them in one pass that compares only the heads of the length classes: O(l*d)
-per stage for l rows of d distinct lengths.
+per stage for l rows of d distinct lengths.  The public functions check
+their input with the helpers of `core`, and the kernels trust it.
 """
 
 from itertools import accumulate, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
-    as_partition,
     two_rho,
     validate_omega_pair,
+    _as_partition,
     _ceil_div,
+    _check_eps,
     _check_int,
+    _check_length,
+    _check_permutation,
+    _check_rows,
     _dom,
     _int_tuple,
+    _inverse_permutation,
 )
 
 __all__ = [
@@ -34,41 +40,6 @@ __all__ = [
     "alg_A_stages",
     "gamma_forward",
 ]
-
-
-def _check_eps(eps) -> int:
-    eps = _check_int(eps)
-    if eps not in (-1, 1):
-        raise ValueError(f"eps must be -1 or 1, got {eps!r}")
-    return eps
-
-
-def _check_rows(alpha, nu) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    alpha = _int_tuple(alpha)
-    nu = _int_tuple(nu)
-    if not alpha:
-        raise ValueError("empty input: at least one row is required")
-    if len(alpha) != len(nu):
-        raise ValueError(f"alpha and nu must have equal length, got {len(alpha)} and {len(nu)}")
-    for a in alpha:
-        if a < 1:
-            raise ValueError(f"row lengths must be positive, got {a}")
-    return alpha, nu
-
-
-def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
-    sigma = _int_tuple(sigma)
-    if sorted(sigma) != list(range(1, ell + 1)):
-        raise ValueError(f"not a permutation of 1..{ell}: {list(sigma)}")
-    return sigma
-
-
-def _inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    # one-line notation, 1-based values
-    inv = [0] * len(sigma)
-    for i, p in enumerate(sigma, start=1):
-        inv[p - 1] = i
-    return tuple(inv)
 
 
 def candidate(eps: int, alpha: Sequence[int], nu: Sequence[int], i: int,
@@ -128,11 +99,6 @@ def _min_overlaps(weights: dict[int, int]) -> dict[int, int]:
         low += weights[a] * a
         high -= weights[a]
     return out
-
-
-def _class_totals(alpha: tuple[int, ...]) -> dict[int, int]:
-    # T_a = sum over the other rows of min(a, length), one entry per distinct length a
-    return {a: t - a for a, t in _min_overlaps(_length_counts(alpha)).items()}
 
 
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
@@ -204,7 +170,8 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
     alpha, nu = _check_rows(alpha, nu)
     sigma = _check_permutation(sigma, len(alpha))
     ell = len(alpha)
-    totals = _class_totals(alpha)
+    # T_a = sum over the other rows of min(a, length), one entry per distinct length a
+    totals = {a: t - a for a, t in _min_overlaps(_length_counts(alpha)).items()}
     placed = dict.fromkeys(totals, 0)  # rows of each length at earlier positions
     raw = []
     for p, i in enumerate(_inverse_permutation(sigma), start=1):
@@ -259,10 +226,9 @@ def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
 
     Accepts any nu of the right length, dominant with respect to alpha or not.
     """
-    alpha = as_partition(alpha)
+    alpha = _as_partition(alpha)
     nu = _int_tuple(nu)
-    if len(nu) != alpha.ell:
-        raise ValueError(f"nu has length {len(nu)}, expected {alpha.ell}")
+    _check_length("nu", nu, alpha.ell)
     return tuple(_stages(alpha.parts, nu))
 
 

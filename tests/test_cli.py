@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lvbij
 from lvbij.cli import main
 
 
@@ -160,3 +165,16 @@ def test_deep_single_row_through_cli(capsys):
     code, out, _ = run(capsys, "inverse", "--lambda", ",".join(["0"] * 1200))
     assert code == 0
     assert out.strip() == "alpha=1200 nu=0"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the output is far larger than the pipe buffer, so the writer hits the
+    # closed pipe while it still has lines to print
+    env = dict(os.environ, PYTHONPATH=str(Path(lvbij.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "lvbij.cli", "enumerate", "--n-max", "7", "--entry-bound", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"alpha=1 nu=2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+    assert err == b""

@@ -3,7 +3,6 @@ import pytest
 from lvbij import (
     Partition,
     alg_W,
-    conjugate,
     dom,
     gamma_forward,
     gamma_inverse,
@@ -17,9 +16,9 @@ from lvbij import (
 
 
 def test_conjugate_examples():
-    assert conjugate([4, 3, 2, 1, 1]) == (5, 3, 2, 1)
-    assert conjugate([3, 2, 2, 1]) == (4, 3, 1)
-    assert conjugate([1]) == (1,)
+    assert Partition([4, 3, 2, 1, 1]).conjugate() == (5, 3, 2, 1)
+    assert Partition([3, 2, 2, 1]).conjugate() == (4, 3, 1)
+    assert Partition([1]).conjugate() == (1,)
 
 
 def test_conjugate_involution_small():

@@ -1,0 +1,52 @@
+"""The public surface, where the input checks live, and the README example."""
+
+import ast
+import doctest
+from pathlib import Path
+
+import lvbij
+
+PACKAGE = Path(lvbij.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def test_each_public_name_is_listed_once_and_resolves():
+    assert len(lvbij.__all__) == 50
+    assert len(set(lvbij.__all__)) == 50
+    for name in lvbij.__all__:
+        assert hasattr(lvbij, name), name
+
+
+def test_only_core_defines_check_helpers():
+    homes = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")
+               for node in ast.walk(_tree(path.stem)))
+    )
+    assert homes == ["core"]
+
+
+def test_inverse_algorithm_does_not_import_seq_algorithm():
+    imported = set()
+    for node in ast.walk(_tree("inverse_algorithm")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(name and "seq_algorithm" in name for name in imported)
+
+
+def test_readme_library_example():
+    # the block between the ```python fences of the Library section; running
+    # README.md itself through doctest would read the closing fence as output
+    library = README.read_text().split("## Library", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", str(README), 0)
+    assert test.examples
+    result = doctest.DocTestRunner().run(test)
+    assert result.failed == 0
