@@ -132,15 +132,28 @@ def _composition_count(length: int, total: int, lo: int, hi: int) -> int:
 
 
 def _row_compositions(length: int, total: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if length == 1:
-        if lo <= total <= hi:
-            yield (total,)
+    # rows of `length` entries in [lo, hi] summing to total, in lexicographic
+    # order: a loop over positions, so any length works
+    if not length * lo <= total <= length * hi:
         return
-    first_lo = max(lo, total - (length - 1) * hi)
-    first_hi = min(hi, total - (length - 1) * lo)
-    for first in range(first_lo, first_hi + 1):
-        for rest in _row_compositions(length - 1, total - first, lo, hi):
-            yield (first,) + rest
+    row, start, rest = [0] * length, 0, total
+    while True:
+        # the smallest entries row[start:] that sum to rest
+        for i in range(start, length):
+            row[i] = max(lo, rest - (length - 1 - i) * hi)
+            rest -= row[i]
+        yield tuple(row)
+        # the rightmost entry that can grow by 1 while the entries after it shrink
+        rest = row[-1]
+        for start in range(length - 2, -1, -1):
+            if row[start] < hi and rest > (length - 1 - start) * lo:
+                break
+            rest += row[start]
+        else:
+            return
+        row[start] += 1
+        rest -= 1
+        start += 1
 
 
 def _state_count(alpha: Partition, nu, window: int) -> int:
@@ -157,15 +170,6 @@ def _state_count(alpha: Partition, nu, window: int) -> int:
     return states
 
 
-def _filling_rows(alpha: Partition, nu, window: int) -> list[list[tuple[int, ...]]]:
-    """Per row, the list of admissible contents; raises if the product is too big."""
-    _state_count(alpha, nu, window)
-    return [
-        list(_row_compositions(length, total, *_row_window(length, total, window)))
-        for length, total in zip(alpha.parts, nu)
-    ]
-
-
 def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     """All fillings of the Young diagram of alpha with the prescribed row sums.
 
@@ -173,7 +177,12 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
-    for rows in product(*_filling_rows(alpha, nu, window)):
+    _state_count(alpha, nu, window)
+    # product reads each row's contents once, before its first filling
+    for rows in product(*(
+        _row_compositions(length, total, *_row_window(length, total, window))
+        for length, total in zip(alpha.parts, nu)
+    )):
         yield WeightDiagram._trusted(rows)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import lvbij
 from lvbij.cli import main
+from lvbij.oracle import omega_pairs
 
 
 def run(capsys, *argv):
@@ -89,6 +90,56 @@ def test_diagram_json_encodes_same_values(capsys):
     )
 
 
+def _pair_from_text(line):
+    fields = dict(part.split("=") for part in line.split())
+    return {key: [int(v) for v in fields[key].split(",")] for key in ("alpha", "nu")}
+
+
+def _rows_from_text(text, sep):
+    return [[int(v) for v in row.split()] for row in text.split(sep)]
+
+
+def _diagram_from_text(out):
+    x_text, y_text = out.removeprefix("X:\n").removesuffix("\n").split("\nY:\n")
+    return {"X": _rows_from_text(x_text, "\n"), "Y": _rows_from_text(y_text, "\n")}
+
+
+@pytest.mark.parametrize("argv, parse", [
+    (["forward", "--alpha", "4,3,2,1,1", "--nu", "15,14,9,4,4"],
+     lambda out: [int(v) for v in out.strip().split(",")]),
+    (["inverse", "--lambda", "8,7,6,6,5,4,3,3,2,2,0"], _pair_from_text),
+    (["diagram", "--alpha", "4,3,2,1,1", "--nu", "15,14,9,4,4"], _diagram_from_text),
+    (["enumerate", "--n-max", "3", "--entry-bound", "1"],
+     lambda out: [_pair_from_text(line) for line in out.splitlines()]),
+    (["enumerate", "--alpha", "2,2", "--nu", "2,2", "--window", "1"],
+     lambda out: [_rows_from_text(line, ";") for line in out.splitlines()]),
+    (["enumerate", "--alpha", "3,1", "--nu", "4,2"],
+     lambda out: [_rows_from_text(line, ";") for line in out.splitlines()]),
+], ids=["forward", "inverse", "diagram", "enumerate-pairs", "enumerate-fillings",
+        "enumerate-fillings-default-window"])
+def test_text_and_json_carry_the_same_values(capsys, argv, parse):
+    # enumerate: one text line per JSON item, in the same order
+    code, text_out, _ = run(capsys, *argv)
+    code2, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == code2 == 0
+    result = json.loads(json_out)["result"]
+    assert result
+    assert parse(text_out) == result
+
+
+def test_verify_text_and_json_carry_the_same_values(capsys):
+    argv = ("verify", "--n-max", "3", "--entry-bound", "1")
+    code, text_out, _ = run(capsys, *argv)
+    code2, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == code2 == 0
+    result = json.loads(json_out)["result"]
+    lines = text_out.splitlines()
+    assert lines[0].endswith(f": {result['cases']} cases")
+    assert result["ok"] is True and lines[-1] == "all checks passed"
+    checks = dict(line.strip().split(": ") for line in lines[1:-1])
+    assert checks == {name: f"{c['cases']} ok" for name, c in result["checks"].items()}
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "2", "--entry-bound", "2")
     assert code == 0
@@ -138,6 +189,23 @@ def test_enumerate_omega_pairs(capsys):
     assert len(lines) == 3 + 3 + 6
 
 
+def test_enumerate_prints_each_pair_as_it_is_produced(capsys, monkeypatch):
+    def watched(n_max, entry_bound):
+        for i, item in enumerate(omega_pairs(n_max, entry_bound)):
+            if i == 1:
+                assert capsys.readouterr().out == "alpha=1 nu=1\n"
+            yield item
+
+    monkeypatch.setattr("lvbij.cli.omega_pairs", watched)
+    assert main(["enumerate", "--n-max", "2", "--entry-bound", "1"]) == 0
+
+
+def test_enumerate_a_long_row_through_cli(capsys):
+    code, out, _ = run(capsys, "enumerate", "--alpha", "1200", "--nu", "0", "--window", "0")
+    assert code == 0
+    assert out.splitlines() == [" ".join(["0"] * 1200)]
+
+
 def test_enumerate_requires_arguments(capsys):
     code, _, err = run(capsys, "enumerate")
     assert code == 2
@@ -150,6 +218,17 @@ def test_invalid_domain_input_exits_2(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "inverse", "--lambda", "1,2")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["forward", "inverse", "diagram", "verify", "enumerate"])
+def test_every_subcommand_parses_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--format" in out
+    if command in ("forward", "diagram"):
+        assert "--alpha" in out and "--nu" in out
 
 
 def test_parse_error_exits_2(capsys):

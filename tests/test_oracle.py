@@ -93,6 +93,12 @@ def test_enumerate_fillings_window_one():
         assert all(sum(row) == 2 for row in rows)
 
 
+def test_enumerate_fillings_of_a_long_row():
+    # one entry per box of a 1200-box row: the rows are built by a loop, not
+    # one recursion level per entry
+    assert [f.rows for f in enumerate_fillings([1200], [0], 0)] == [((0,) * 1200,)]
+
+
 def test_enumerate_fillings_search_space_guard():
     with pytest.raises(SearchSpaceError):
         list(enumerate_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40))
@@ -162,6 +168,19 @@ def test_composition_count_matches_enumeration():
                     assert _composition_count(length, total, lo, hi) == len(
                         list(_row_compositions(length, total, lo, hi))
                     ), (length, total, lo, hi)
+
+
+def test_row_compositions_are_the_window_rows_in_lexicographic_order():
+    # with the count test above: every row in [lo, hi]^length summing to
+    # total, each once, in increasing order
+    for length in range(1, 6):
+        for total in range(-8, 9):
+            for lo, hi in ((-2, 1), (0, 3), (-1, -1), (1, 0)):
+                rows = list(_row_compositions(length, total, lo, hi))
+                assert rows == sorted(set(rows)), (length, total, lo, hi)
+                for row in rows:
+                    assert len(row) == length and sum(row) == total
+                    assert all(lo <= v <= hi for v in row)
 
 
 def test_pruned_searches_keep_the_search_space_guard():
