@@ -79,7 +79,7 @@ def _emit(args, record, result, render) -> None:
             result = list(result)
         print(json.dumps({"input": record, "result": result}))
     elif isinstance(result, Iterator):
-        for item in result:  # one write per line, where print makes two unbuffered
+        for item in result:  # one write a line: print makes two, each a syscall unbuffered
             sys.stdout.write(render(item) + "\n")
     else:
         print(render(result))
