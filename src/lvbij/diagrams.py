@@ -7,7 +7,8 @@ to bottom.  The `WeightDiagram` constructor and the helpers of `core` check
 input; diagrams built from checked values skip that through `_trusted`.
 """
 
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .core import Partition, _check_bound, _check_int, _column_heights, _dom
@@ -140,15 +141,22 @@ def _preimage_readout(rows: list[list[int]]) -> tuple[Partition, tuple[int, ...]
     # without building X.  e_inverse keeps the row lengths and takes
     # h_j - 1 - 2 * above_j off entry j, with h_j the height of column j and
     # above_j the rows above that reach it; top[j] holds h_j - 2 * above_j,
-    # lowered as far as a row below still reads it.  O(boxes).
+    # lowered as far as a row below still reads it.  Within a run of k rows
+    # of length L every row but the last is followed by one reaching column L,
+    # so row t of the run reads 2 * t * L less than its first row; the run
+    # costs one sum and one update of top.  O(boxes).
     lengths = [len(row) for row in rows]
     top = _column_heights(lengths)
     below = list(accumulate(reversed(lengths), max, initial=0))[-2::-1]  # longest row below
-    sums = []
-    for row, length, reach in zip(rows, lengths, below):
-        sums.append(sum(row) - sum(top[:length]) + length)
-        cut = min(length, reach)
-        top[:cut] = [d - 2 for d in top[:cut]]
+    sums: list[int] = []
+    start = 0
+    for length, run in groupby(lengths):
+        k, step = len(list(run)), 2 * length
+        first = sum(top[:length]) - length  # what the run's first row loses
+        sums += map(sub, map(sum, rows[start : start + k]), range(first, first - step * k, -step))
+        start += k
+        cut = min(length, below[start - 1])
+        top[:cut] = [d - 2 * k for d in top[:cut]]
     return Partition._trusted(sorted(lengths, reverse=True)), _kappa(zip(lengths, sums))
 
 

@@ -24,8 +24,12 @@ while its levels empty no run.  After three such levels it runs, in one
 step, as many two-level periods as leave every run non-empty; three, so
 that both attachments of a period have run, with their checks, at full cost
 once.  Besides the entries it appends, a level costs O(runs of its clump),
-and so does a batch of periods, whatever their number.  Inputs are checked
-once, by `core._check_eps` and `_dominant_runs`, which yields the runs.
+and so does a batch of periods, whatever their number.  A one-entry clump of
+the input is a one-box row, with no extraction; an attachment is two lookups
+in the parent's free targets.  The readout of `gamma_inverse` takes one
+Python step per run of equal-length rows, plus sums over the boxes.  Inputs
+are checked once, by `core._check_eps` and `_dominant_runs`, which yields
+the runs.
 """
 
 from itertools import chain, repeat
@@ -51,10 +55,9 @@ def _dominant_runs(lam) -> list[list[int]]:
     lam = _int_tuple(lam)
     if not lam:
         raise ValueError("the input weight must be non-empty")
-    runs = _runs(lam)
-    if any(runs[i][0] < runs[i + 1][0] for i in range(len(runs) - 1)):
+    if list(lam) != sorted(lam, reverse=True):
         raise ValueError(f"the input weight must be weakly decreasing, got {list(lam)}")
-    return runs
+    return _runs(lam)
 
 
 def _expand(runs) -> tuple[int, ...]:
@@ -114,6 +117,9 @@ def _alg_B(runs: list[list[int]], eps: int) -> list[list[int]]:
     while work:
         runs, node_eps, node_targets = work.pop()
         for clump in _clumps(runs):
+            if node_targets is None and len(clump) == 1 and clump[0][1] == 1:
+                rows.append([clump[0][0]])  # all that a one-entry clump can give
+                continue
             eps, targets, last_col, quiet = node_eps, node_targets, None, 0
             while True:
                 first_col, remainder = _majuscule_extract(clump, eps)
@@ -125,12 +131,12 @@ def _alg_B(runs: list[list[int]], eps: int) -> list[list[int]]:
                     else:
                         # the targets were extracted with the parent's rounding
                         # mode, -eps, so value attaches to value or value + eps
-                        hits = [t for t in (value, value + eps) if t in targets]
-                        if len(hits) != 1:
+                        hit = value in targets
+                        if hit == (value + eps in targets):
                             raise InternalConsistencyError(
-                                f"entry {value} has {len(hits)} free attachment targets in "
-                                f"{sorted(targets, reverse=True)}")
-                        row = targets.pop(hits[0])
+                                f"entry {value} has {2 if hit else 0} free attachment targets "
+                                f"in {sorted(targets, reverse=True)}")
+                        row = targets.pop(value if hit else value + eps)
                     row.append(value)
                     placed[value] = row
                 if len(remainder) < len(clump):

@@ -423,10 +423,11 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
         report.check("roundtrip").record(gamma_inverse(gam) == (alpha, nu), label)
 
         if extended:
-            report.check("pair_coherence").record(e_map(X) == Y, label)
+            ex = e_map(X)
+            report.check("pair_coherence").record(ex == Y, label)
             report.check("adjacency").record(_adjacent_steps_ok(Y, -1), label)
             report.check("shift_compat").record(
-                eta(e_map(X)) == dom(a + r for a, r in zip(hx, rho2)), label
+                eta(ex) == dom(a + r for a, r in zip(hx, rho2)), label
             )
             pair_plus = alg_W(alpha.parts, nu, 1)
             report.check("distinguished_even").record(

@@ -22,6 +22,7 @@ from lvbij import (
     truncate_columns,
     two_rho,
 )
+from lvbij.diagrams import _preimage_readout
 
 GOLDEN_X = [[4, 5], [4, 5, 5], [4], [4, 4, 4, 3], [4]]
 GOLDEN_Y = [[8, 7], [6, 5, 6], [4], [2, 2, 3, 3], [0]]
@@ -79,6 +80,21 @@ def test_e_roundtrip_random():
     for _ in range(300):
         X = random_diagram(rng)
         assert e_inverse(e_map(X)) == X
+
+
+def test_preimage_readout_over_runs_of_equal_length_rows():
+    # runs of equal-length rows followed by shorter, longer and equal rows:
+    # the readout updates the column offsets once per run, so a wrong cut at
+    # the end of a run shows in the rows after it
+    rng = random.Random(7)
+    for _ in range(400):
+        rows, length = [], rng.randint(1, 6)
+        for _ in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(1, 5)):
+                rows.append([rng.randint(-9, 9) for _ in range(length)])
+            length = max(1, length + rng.randint(-3, 3))
+        X = e_inverse(WeightDiagram(rows))
+        assert _preimage_readout(rows) == (shape_class(X), kappa(X)), rows
 
 
 def test_kappa_examples():

@@ -20,6 +20,7 @@ from lvbij import (
     majuscule_extract,
     omega_pairs,
     shape_class,
+    two_rho,
 )
 
 
@@ -217,6 +218,24 @@ def seeded_weights(rng):
     for _ in range(8):
         v, m = rng.randint(-3, 3), rng.randint(100, 300)
         yield (v,) * (m + rng.randint(-2, 2)) + (v - 1,) * m
+    # every gap at least 2, so every clump is one entry; and one-entry clumps
+    # between clumps of long runs, whose lower levels attach one-entry clumps
+    for _ in range(40):
+        lam = [rng.randint(-20, 20)]
+        for _ in range(rng.randint(0, 60)):
+            lam.append(lam[-1] - rng.randint(2, 4))
+        yield tuple(lam)
+    for _ in range(40):
+        lam = []
+        for _ in range(rng.randint(1, 8)):
+            v = lam[-1] - rng.randint(2, 3) if lam else rng.randint(-10, 30)
+            if rng.random() < 0.5:
+                lam.append(v)
+            else:
+                for _ in range(rng.randint(1, 4)):
+                    lam += [v] * rng.randint(1, 40)
+                    v -= rng.randint(0, 1)
+        yield tuple(lam)
 
 
 def test_alg_B_matches_entrywise_construction():
@@ -246,6 +265,31 @@ def test_periods_wait_for_both_attachments(monkeypatch):
             assert first_batch["lengths"] == {3}, (lam, eps)
 
 
+@pytest.mark.parametrize("eps", [-1, 1])
+@pytest.mark.parametrize("free_targets", [0, 2])
+def test_attachment_needs_exactly_one_free_target(monkeypatch, eps, free_targets):
+    # no input reaches the attachment check, so the extraction is patched:
+    # [5, 4, 4] takes one column at the top and attaches the next one to it;
+    # shifting that column far away leaves an entry no target, and adding
+    # the top column's neighbour on the attaching side gives one entry two
+    extract = inverse_algorithm._majuscule_extract
+    columns = []
+
+    def patched(clump, node_eps):
+        taken, remainder = extract(clump, node_eps)
+        columns.append(taken)
+        if len(columns) == 1 and free_targets == 2:
+            taken = taken + [taken[-1] + eps]
+        elif len(columns) == 2 and free_targets == 0:
+            taken = [v + 10 for v in taken]
+        return taken, remainder
+
+    monkeypatch.setattr(inverse_algorithm, "_majuscule_extract", patched)
+    with pytest.raises(inverse_algorithm.InternalConsistencyError,
+                       match=f"has {free_targets} free attachment targets"):
+        alg_B([5, 4, 4], eps)
+
+
 def test_gamma_inverse_reads_the_unshifted_diagram():
     rng = random.Random(67)
     for lam in seeded_weights(rng):
@@ -254,9 +298,11 @@ def test_gamma_inverse_reads_the_unshifted_diagram():
 
 
 def test_inverse_of_long_inputs():
-    # 10^5 equal entries repeat one period about n/2 times; a dense weight
-    # of 10^5 entries over seven values runs several clumps and periods
+    # 10^5 equal entries repeat one period about n/2 times; the image of
+    # 1^100000 is 10^5 one-entry clumps; a dense weight of 10^5 entries over
+    # seven values runs several clumps and periods
     assert gamma_inverse((0,) * 100000) == ((100000,), (0,))
+    assert gamma_inverse(two_rho((1,) * 100000)) == ((1,) * 100000, (0,) * 100000)
     rng = random.Random(71)
     lam = tuple(sorted((rng.randint(-3, 3) for _ in range(100000)), reverse=True))
     alpha, nu = gamma_inverse(lam)
