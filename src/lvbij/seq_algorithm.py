@@ -3,8 +3,9 @@
 The output weight is assembled column block by column block: a ranking
 function orders the rows, a column function chooses the entries of the
 current block, and the residual input is reduced and fed back in.  The
-forward bijection is the dominant rearrangement of the result plus the
-doubled half-sum of positive roots.
+stages come one at a time: each passes on only its reduced input, so
+`alg_A` holds one stage at once.  The forward bijection is the dominant
+rearrangement of the result plus the doubled half-sum of positive roots.
 
 Rows of equal length share their overlap with all other rows and with the
 rows ranked so far, so a stage groups its rows by length and ranks and fills
@@ -13,6 +14,7 @@ per stage for l rows of d distinct lengths.  The public functions check
 their input with the helpers of `core`, and the kernels trust it.
 """
 
+from collections.abc import Iterator
 from itertools import accumulate, groupby
 from typing import Iterable, NamedTuple, Sequence
 
@@ -186,18 +188,6 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
     return tuple(accumulate(reversed(raw), max))[::-1]
 
 
-def _reduce_input(alpha, nu, sigma, mu1):
-    # drop the length-1 rows (their block entry equals their nu entry) and
-    # subtract the assigned block entry from the survivors
-    ell2 = sum(1 for a in alpha if a >= 2)
-    if __debug__:
-        for i in range(ell2, len(alpha)):
-            assert mu1[sigma[i] - 1] == nu[i], "a dropped row must receive exactly its entry"
-    alpha2 = tuple(a - 1 for a in alpha[:ell2])
-    nu2 = tuple(nu[i] - mu1[sigma[i] - 1] for i in range(ell2))
-    return alpha2, nu2
-
-
 class Stage(NamedTuple):
     """One stage of Algorithm A: the reduced input and its ranking and block."""
 
@@ -207,14 +197,21 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[Stage]:
-    stages = []
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[Stage]:
     while True:
         sigma, mu, _ = _rank_and_fill(-1, alpha, nu)
-        stages.append(Stage(alpha, nu, sigma, mu))
-        if alpha[0] == 1:
-            return stages
-        alpha, nu = _reduce_input(alpha, nu, sigma, mu)
+        yield Stage(alpha, nu, sigma, mu)
+        # alpha is weakly decreasing, so its rows of length 1 come last; they
+        # drop out, each receiving exactly its nu entry, and the survivors
+        # lose a box and the block entry they were assigned
+        ell2 = len(alpha) - alpha.count(1)
+        if __debug__:
+            for i in range(ell2, len(alpha)):
+                assert mu[sigma[i] - 1] == nu[i], "a dropped row must receive exactly its entry"
+        if not ell2:
+            return
+        nu = tuple(nu[i] - mu[sigma[i] - 1] for i in range(ell2))
+        alpha = tuple(a - 1 for a in alpha[:ell2])
 
 
 def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:

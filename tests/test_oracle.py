@@ -254,20 +254,25 @@ def test_report_formatting():
 
 def test_reimporting_the_package_keeps_one_copy_alive():
     # subscripted typing generics are cached by typing; an Iterator[Partition]
-    # annotation from typing would keep every re-imported copy of the package
-    # alive, so each re-import would add one more Partition class
+    # or Iterator[Stage] annotation from typing would keep every re-imported
+    # copy of the package alive, so each re-import would add one more copy of
+    # every class the package defines
     script = textwrap.dedent("""
         import gc, importlib, sys
+        from collections import Counter
         for _ in range(20):
             for name in [m for m in sys.modules if m == "lvbij" or m.startswith("lvbij.")]:
                 del sys.modules[name]
             importlib.import_module("lvbij")
         gc.collect()
-        print(sum(1 for o in gc.get_objects()
-                  if isinstance(o, type) and o.__module__ == "lvbij.core"
-                  and o.__qualname__ == "Partition"))
+        copies = Counter(f"{o.__module__}.{o.__qualname__}" for o in gc.get_objects()
+                         if isinstance(o, type) and o.__module__.startswith("lvbij."))
+        for name, count in sorted(copies.items()):
+            print(name, count)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(lvbij.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["1"]
+    copies = dict(line.split() for line in out.splitlines())
+    assert "lvbij.core.Partition" in copies and "lvbij.seq_algorithm.Stage" in copies
+    assert set(copies.values()) == {"1"}, copies

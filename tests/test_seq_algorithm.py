@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,19 @@ def test_alg_A_iter_examples():
     assert alg_A([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
     assert alg_A([1, 1], [3, 1]) == (3, 1)
     assert alg_A([1], [0]) == (0,)
+
+
+def test_alg_A_holds_one_stage_at_a_time():
+    # a single row of 5000 boxes runs 5000 stages; a stage table kept until
+    # the end peaks near 1.5 MB, one stage at a time near 0.05 MB
+    alg_A((5000,), (0,))
+    tracemalloc.start()
+    try:
+        alg_A((5000,), (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_alg_A_stage_table_golden():

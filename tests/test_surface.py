@@ -2,12 +2,14 @@
 
 import ast
 import doctest
+import importlib
 from pathlib import Path
 
 import lvbij
 
 PACKAGE = Path(lvbij.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 def _tree(module: str) -> ast.Module:
@@ -19,6 +21,20 @@ def test_each_public_name_is_listed_once_and_resolves():
     assert len(set(lvbij.__all__)) == 50
     for name in lvbij.__all__:
         assert hasattr(lvbij, name), name
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # the traced benchmark run looks these functions up by name and skips a
+    # missing one, dropping its metrics from the result without an error
+    assign = next(node for node in ast.parse(SPANS.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    layers = ast.literal_eval(assign.value)
+    assert layers
+    for module, names in layers.items():
+        mod = importlib.import_module(f"lvbij.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
 
 
 def test_only_core_defines_check_helpers():

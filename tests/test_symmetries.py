@@ -1,0 +1,79 @@
+"""Symmetries of the three maps, checked exhaustively on small bounds.
+
+They check Algorithm A beyond the golden values, and they tie each rounding
+mode eps of Algorithms W and B to the other one, so that a mistake made in
+only one eps branch shows up.
+
+- Twist: gamma(alpha, nu + c*alpha) = gamma(alpha, nu) + c.  This follows
+  stage by stage from Algorithm A.  Adding c*a to the entry of each row of
+  length a adds c to every candidate, since rounding commutes with adding
+  an integer.  Within a length class the entries keep their order, so the
+  ranking does not change, and every block entry and every clamp moves by c.
+  A surviving row then keeps c*(a - 1) of its extra c*a, so the next stage
+  is twisted by the same c.  dom commutes with adding c to every entry.
+- Duality: gamma(alpha, nu*) = -w0 gamma(alpha, nu), where nu* reverses and
+  negates nu within each block of equal parts of alpha and w0 reverses a
+  weight.
+- The two rounding modes: alg_W(alpha, nu, +1).right is
+  alg_W(alpha, nu*, -1).right with every entry negated and the rows
+  reversed; alg_B(lam, +1) and alg_B(-w0 lam, -1) with every entry negated
+  have the same rows as multisets.
+
+No argument is written down for the duality and the two rounding modes:
+they are measured invariants, which held on every input below.
+"""
+
+from collections import Counter
+from itertools import combinations_with_replacement, groupby
+
+import pytest
+
+from lvbij import alg_B, alg_W, gamma_forward, omega_pairs
+
+PAIRS = [(alpha.parts, nu) for alpha, nu in omega_pairs(5, 3)]
+# all weakly decreasing weights of length <= 6 with entries in [-4, 4]
+WEIGHTS = [lam for k in range(1, 7) for lam in combinations_with_replacement(range(4, -5, -1), k)]
+
+
+def _star(alpha, nu):
+    out = []
+    for _, block in groupby(zip(alpha, nu), key=lambda row: row[0]):
+        out.extend(-v for _, v in reversed(list(block)))
+    return tuple(out)
+
+
+def _negated(rows):
+    return [tuple(-v for v in row) for row in rows]
+
+
+def test_the_bounds_cover_every_input():
+    assert len(PAIRS) == 2219
+    assert len(WEIGHTS) == 5004
+    assert _star((2, 2, 1), (3, 1, 5)) == (-1, -3, -5)
+
+
+@pytest.mark.parametrize("c", [1, -2])
+def test_twist_by_the_determinant(c):
+    for alpha, nu in PAIRS:
+        twisted = tuple(v + c * a for v, a in zip(nu, alpha))
+        assert gamma_forward(alpha, twisted) == tuple(v + c for v in gamma_forward(alpha, nu)), (alpha, nu)
+
+
+def test_duality():
+    for alpha, nu in PAIRS:
+        lam = gamma_forward(alpha, nu)
+        assert gamma_forward(alpha, _star(alpha, nu)) == tuple(-v for v in reversed(lam)), (alpha, nu)
+
+
+def test_alg_W_rounding_modes_are_dual():
+    for alpha, nu in PAIRS:
+        up = alg_W(alpha, nu, 1).right.rows
+        down = alg_W(alpha, _star(alpha, nu), -1).right.rows
+        assert list(up) == _negated(reversed(down)), (alpha, nu)
+
+
+def test_alg_B_rounding_modes_are_dual():
+    for lam in WEIGHTS:
+        up = alg_B(lam, 1).rows
+        down = alg_B(tuple(-v for v in reversed(lam)), -1).rows
+        assert Counter(up) == Counter(_negated(down)), lam
