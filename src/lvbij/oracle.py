@@ -1,17 +1,21 @@
 """Brute-force verification at desk scale.
 
 Independent of the algorithm modules' internals: fillings with prescribed row
-sums are enumerated outright, the norm is minimized over them by a branch and
-bound whose bounds follow from the norm's definition, distinguished diagrams
-are found by a search over fillings and row orders that places a row only if
-it meets the conditions of `is_distinguished` that the rows above it already
-decide, and the sweep harnesses grind through every small input checking the
-advertised identities.  Both searches return what the plain enumeration
+sums are enumerated outright, and the norm is minimized over them by a
+branch and bound whose bounds follow from the norm's definition.  A column of
+height h has offset norm sum c^2 + 2 sum_(pairs) |c - c'| + (h^3 - h)/3 over
+its entries c, so each box placed adds an exact cost without any sorting, and
+every row whose total rest is still owed by k boxes adds at least
+ceil(rest^2 / k) more (Cauchy-Schwarz); the search over the boxes is one loop.
+Distinguished diagrams are found by a search over fillings and row orders,
+one recursion level per row, that places a row only if it meets the
+conditions of `is_distinguished` that the rows above it already decide, and
+the sweep harnesses grind through every small input checking the advertised
+identities.  Both searches return what the plain enumeration
 returns; `tests/test_oracle.py` checks them against it.  The public
 functions check their bounds and windows with the helpers of `core`.
 """
 
-from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -190,78 +194,62 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     """Minimum over all in-window fillings of the offset squared norm of the
     column-sorted weight.
 
-    Branch and bound over the entries, row by row.  A column's offset norm
-    pairs its entries, sorted decreasingly, with its decreasing rho block;
-    by the rearrangement inequality every other pairing gives at most that
-    norm.  So pairing the finished rows sorted with the top of each block,
-    and every later row i with entry i of each block it reaches, bounds every
-    completion from below; a later row's share is in turn at least
-    (row total + its rho entries)^2 / row length (Cauchy-Schwarz).  A branch
-    whose bound reaches the best norm found so far is cut; the minimum is
-    that of the plain enumeration.
+    A column of height h, sorted as c_0 >= ... >= c_(h-1), meets the rho
+    block h-1, h-3, ..., 1-h, so its offset norm is
+
+        sum_k (c_k + h-1-2k)^2 = sum_k c_k^2 + 2 sum_(k<l) |c_k - c_l| + (h^3-h)/3,
+
+    since sum_k c_k (h-1-2k) adds up c_k - c_l over the column's pairs.
+    Nothing needs sorting: placing x in a box adds exactly x^2 plus 2|x - y|
+    for every entry y already in its column.  The search places the boxes
+    column by column, top down, in one loop over an explicit stack whose
+    frames hold each box's untried options, best last.  An option's bound is
+    the exact cost so far plus, for every row, rest^2 / (boxes left) rounded
+    up, where rest is what the row's boxes left must add up to
+    (Cauchy-Schwarz).  A frame whose best option reaches the best norm found
+    so far is popped; the minimum is that of the plain enumeration.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
     if not _state_count(alpha, nu, window):
         raise SearchSpaceError("the window admits no fillings at all")
     lengths = alpha.parts
-    rho_blocks = [tuple(range(h - 1, -h, -2)) for h in alpha.conjugate().parts]
-    ell = len(lengths)
-    # offs[i][j]: the rho entry row i meets in column j when rows keep their order
-    offs = [tuple(rho_blocks[j][i] for j in range(lengths[i])) for i in range(ell)]
-    # rest_offs[i][j]: sum of offs[i][j:]
-    rest_offs = [tuple(sum(o[j:]) for j in range(len(o) + 1)) for o in offs]
-    tail = [0] * (ell + 1)  # tail[i]: lower bound for rows i.. at their own positions
-    for i in reversed(range(ell)):
-        tail[i] = tail[i + 1] + _ceil_div((nu[i] + rest_offs[i][0]) ** 2, lengths[i])
-
-    columns: list[list[int]] = [[] for _ in rho_blocks]  # finished rows' entries, ascending
-    col_norms = [0] * len(rho_blocks)
-    rows: list[list[int]] = [[] for _ in lengths]
+    heights = alpha.conjugate().parts
+    windows = [_row_window(length, total, window) for length, total in zip(lengths, nu)]
+    boxes = [(i, j) for j, h in enumerate(heights) for i in range(h)]
+    columns: list[list[int]] = [[] for _ in heights]  # entries placed, top down
+    rest = list(nu)  # what each row's unplaced boxes must add up to
+    cost = sum((h**3 - h) // 3 for h in heights)
+    slack = sum(_ceil_div(t * t, length) for length, t in zip(lengths, nu))
     best = None
-
-    def set_col_norm(j: int) -> None:
-        col_norms[j] = sum((c + r) ** 2 for c, r in zip(reversed(columns[j]), rho_blocks[j]))
-
-    def finish_row(i: int) -> None:
-        nonlocal best
-        for j, x in enumerate(rows[i]):
-            insort(columns[j], x)
-            set_col_norm(j)
-        done = sum(col_norms)
-        if best is None or done + tail[i + 1] < best:
-            if i + 1 == ell:
-                best = done
-            else:
-                extend(i + 1, done, 0, nu[i + 1])
-        for j, x in enumerate(rows[i]):
-            columns[j].remove(x)
-            set_col_norm(j)
-
-    def extend(i: int, done: int, part: int, remaining: int) -> None:
-        # done: norm of rows < i, sorted; part: row i's entries so far at position i
-        row, length = rows[i], lengths[i]
-        j = len(row)
-        if j == length:
-            finish_row(i)
-            return
-        lo, hi = _row_window(length, nu[i], window)
-        left = length - j - 1
-        o, share, k = offs[i][j], remaining + rest_offs[i][j], length - j
-        candidates = range(max(lo, remaining - left * hi), min(hi, remaining - left * lo) + 1)
-        # nearest to an even split first, so that good bounds come early
-        for x in sorted(candidates, key=lambda v: abs((v + o) * k - share)):
-            p = part + (x + o) ** 2
-            bound = done + p + tail[i + 1]
-            if left:
-                bound += _ceil_div((remaining - x + rest_offs[i][j + 1]) ** 2, left)
-            if best is not None and bound >= best:
-                continue
-            row.append(x)
-            extend(i, done, p, remaining - x)
-            row.pop()
-
-    extend(0, 0, 0, nu[0])
+    stack: list[list[tuple[int, int, int, int]] | None] = [None]  # None: not yet expanded
+    while stack:
+        i, j = boxes[len(stack) - 1]
+        column = columns[j]
+        if len(column) > i:  # back at this box: take back the entry it holds
+            rest[i] += column.pop()
+        options = stack[-1]
+        if options is None:
+            r, left = rest[i], lengths[i] - j - 1
+            lo, hi = windows[i]
+            base = slack - _ceil_div(r * r, left + 1)
+            options = []
+            for x in range(max(lo, r - left * hi), min(hi, r - left * lo) + 1):
+                c = cost + x * x + 2 * sum(abs(x - y) for y in column)
+                s = base + _ceil_div((r - x) ** 2, left) if left else base
+                options.append((c + s, c, x, s))
+            options.sort(reverse=True)
+            stack[-1] = options
+        if not options or best is not None and options[-1][0] >= best:
+            stack.pop()
+            continue
+        _, cost, x, slack = options.pop()
+        column.append(x)
+        rest[i] -= x
+        if len(stack) == len(boxes):
+            best = cost
+        else:
+            stack.append(None)
     return best
 
 
@@ -272,20 +260,24 @@ def _step_rows(length: int, total: int, window: int, shifts) -> Iterator[tuple[i
     Under the column shift, entry j moves by shifts[j].  Condition 1 allows
     the shifted row to step by 0 or -1 after an odd column and by 0 or +1
     after an even one, so the steps fix the row up to its first entry, and
-    the total fixes that.
+    the total fixes that.  The steps are chosen depth first from an explicit
+    stack, and a prefix is cut once its offsets spread wider than the
+    window, so the stack holds at most two prefixes per entry.
     """
     lo, hi = _row_window(length, total, window)
-    choices = [(0, -1 if j % 2 == 1 else 1) for j in range(1, length)]
-    for steps in product(*choices):
-        offsets = [0]
-        for j, step in enumerate(steps, start=1):
-            offsets.append(offsets[-1] + step - shifts[j] + shifts[j - 1])
-        first, rem = divmod(total - sum(offsets), length)
-        if rem:
+    stack = [((0,), 0, 0)]  # offsets of a prefix from its first entry, their min and max
+    while stack:
+        offsets, low, high = stack.pop()
+        j = len(offsets)
+        if j == length:
+            first, rem = divmod(total - sum(offsets), length)
+            if not rem and lo <= first + low and first + high <= hi:
+                yield tuple(first + o for o in offsets)
             continue
-        row = tuple(first + o for o in offsets)
-        if lo <= min(row) and max(row) <= hi:
-            yield row
+        for step in (0, -1 if j % 2 == 1 else 1):
+            o = offsets[-1] + step - shifts[j] + shifts[j - 1]
+            if max(high, o) - min(low, o) <= hi - lo:
+                stack.append((offsets + (o,), min(low, o), max(high, o)))
 
 
 def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
@@ -293,11 +285,12 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
 
     Covers every in-window filling in every row order: sorting rows never
     changes the row data, so the search covers the whole fiber within the
-    window.  Rows are placed top to bottom.  A row is placed only if, at its
-    position, it meets the two conditions of `is_distinguished` that involve
-    only the rows above it: its shifted entries step as condition 1 allows
-    (see `_step_rows`), and no entry exceeds the one above it, which is
-    condition 4 (the column shift lowers each entry by 2 more than the one
+    window.  Rows are placed top to bottom, one recursion level per row, and
+    the entries placed so far are kept per column.  A row is placed only if,
+    at its position, it meets the two conditions of `is_distinguished` that
+    involve only the rows above it: its shifted entries step as condition 1
+    allows (see `_step_rows`), and no entry exceeds the one above it, which
+    is condition 4 (the column shift lowers each entry by 2 more than the one
     above).  Each full diagram is then checked with `is_distinguished`.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
@@ -305,8 +298,7 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     _state_count(alpha, nu, window)
     heights = alpha.conjugate().parts
     unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
-    filled = [0] * len(heights)  # rows placed so far, per column
-    bottom = [0] * len(heights)  # lowest entry placed so far, per column
+    columns: list[list[int]] = [[] for _ in heights]  # entries placed, top down
     placed: list[tuple[int, ...]] = []
     found = []
 
@@ -320,21 +312,18 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
         for (length, total), left in unplaced.items():
             if not left:
                 continue
-            shifts = [heights[j] - 2 * filled[j] - 1 for j in range(length)]
+            shifts = [heights[j] - 2 * len(columns[j]) - 1 for j in range(length)]
             for row in _step_rows(length, total, window, shifts):
-                if any(filled[j] and row[j] > bottom[j] for j in range(length)):
+                if any(column and x > column[-1] for column, x in zip(columns, row)):
                     continue
-                above = bottom[:length]
                 unplaced[length, total] -= 1
-                for j in range(length):
-                    filled[j] += 1
-                bottom[:length] = row
+                for column, x in zip(columns, row):
+                    column.append(x)
                 placed.append(row)
                 place()
                 placed.pop()
-                bottom[:length] = above
-                for j in range(length):
-                    filled[j] -= 1
+                for column in columns[:length]:
+                    column.pop()
                 unplaced[length, total] += 1
 
     place()

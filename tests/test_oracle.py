@@ -1,8 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
-from itertools import permutations
+from itertools import accumulate, permutations, product
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from lvbij import (
     roundtrip_sweep,
     two_rho,
 )
-from lvbij.oracle import _composition_count, _row_compositions
+from lvbij.oracle import _composition_count, _row_compositions, _row_window, _step_rows
 
 
 def test_partitions_of_counts():
@@ -115,7 +116,15 @@ def test_min_norm_matches_object_route():
     # the fast route agrees with computing h on the enumerated diagrams
     from lvbij import h_weight
 
-    for alpha, nu in [((2, 1), (5, 1)), ((2, 2), (2, 0)), ((3,), (4,))]:
+    for alpha, nu in [
+        ((2, 1), (5, 1)),
+        ((2, 2), (2, 0)),
+        ((3,), (4,)),
+        ((2, 2, 2), (3, 3, -3)),
+        ((3, 3), (3, -3)),
+        ((3, 2, 1, 1), (-3, 1, 0, -2)),
+        ((3, 2, 2), (1, 3, -3)),
+    ]:
         rho2 = two_rho(alpha)
         window = default_window(alpha)
         best = min(
@@ -123,6 +132,13 @@ def test_min_norm_matches_object_route():
             for f in enumerate_fillings(alpha, nu, window)
         )
         assert best == min_norm_over_fillings(alpha, nu, window)
+
+
+def test_min_norm_of_a_long_row_and_a_long_column():
+    # one loop over the boxes, not one recursion level per box; a column of
+    # h zeros has offset norm (h^3 - h) / 3
+    assert min_norm_over_fillings([1200], [0], 0) == 0
+    assert min_norm_over_fillings((1,) * 1200, (0,) * 1200, 0) == 575999600
 
 
 def naive_min_norm(alpha, nu, window):
@@ -181,6 +197,43 @@ def test_row_compositions_are_the_window_rows_in_lexicographic_order():
                 for row in rows:
                     assert len(row) == length and sum(row) == total
                     assert all(lo <= v <= hi for v in row)
+
+
+def product_step_rows(length, total, window, shifts):
+    # every one of the 2^(length-1) step patterns, then the window
+    lo, hi = _row_window(length, total, window)
+    choices = [(0, -1 if j % 2 == 1 else 1) for j in range(1, length)]
+    for steps in product(*choices):
+        offsets = [0]
+        for j, step in enumerate(steps, start=1):
+            offsets.append(offsets[-1] + step - shifts[j] + shifts[j - 1])
+        first, rem = divmod(total - sum(offsets), length)
+        if rem:
+            continue
+        row = tuple(first + o for o in offsets)
+        if lo <= min(row) and max(row) <= hi:
+            yield row
+
+
+def test_step_rows_match_every_step_pattern():
+    # shifts that move by at most 2 from column to column leave about four
+    # cases in five with rows to find
+    rng = random.Random(61)
+    for _ in range(3000):
+        length = rng.randint(1, 9)
+        total = rng.randint(-3 * length, 3 * length)
+        window = rng.randint(0, 4)
+        shifts = list(accumulate(rng.randint(-2, 2) for _ in range(length)))
+        got = list(_step_rows(length, total, window, shifts))
+        assert len(got) == len(set(got))
+        assert set(got) == set(product_step_rows(length, total, window, shifts)), (
+            length, total, window, shifts)
+
+
+def test_distinguished_fillings_of_a_long_row():
+    # the window cuts each step prefix, so the 2^59 step patterns of a 60-box
+    # row are never listed
+    assert distinguished_fillings([60], [0], 0) == [alg_W([60], [0], -1).left]
 
 
 def test_pruned_searches_keep_the_search_space_guard():
