@@ -8,6 +8,28 @@ on, with the opposite rounding mode, to fill the next columns of the same
 rows; `branch_plan` is the public, fully populated view of one node.  The
 left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
 is checked with the helpers of `core`, and the nodes trust it.
+
+A branch of one row needs no node per column.  A node of one row (a, N)
+with mode eps has no overlaps and ranks nothing: it fills ceil(N/a) for
+eps = -1 and floor(N/a) for eps = +1, its column offset ell - 2p - 1 is 0,
+and it hands on (a - 1, N - that entry) with -eps.  So the row's entries
+alternate the two roundings.  With N = q*a + r, 0 <= r < a and
+m = min(r, a - r), they are
+
+    [q+1, q]*m + [q+1]*(r - m) + [q]*(a - r - m)    for eps = -1,
+    [q, q+1]*m + [q+1]*(r - m) + [q]*(a - r - m)    for eps = +1,
+
+by induction on a.  If a = 1, then r = 0 and the one entry is q.  Else, for
+eps = -1 and r = 0 the first entry is q and the rest is the eps = +1 split
+of (q, 0) over a - 1, all q.  For eps = -1 and r > 0 the first entry is
+q + 1 and the rest is the eps = +1 split of (q, r - 1) over a - 1, whose
+m' = min(r - 1, a - r) is r - 1 when r <= a - r and a - r otherwise; in both
+cases q + 1 followed by it is the claim.  For eps = +1 the first entry is q
+and leaves q*(a - 1) + r.  If r = a - 1 that is (q + 1)*(a - 1), all q + 1,
+which the claim (m = 1) puts after q.  If r < a - 1 the rest is the
+eps = -1 split of (q, r) over a - 1, whose m' is r when r < a - r and
+a - 1 - r otherwise, and q followed by it is again the claim.  So `_alg_W`
+appends a one-row branch's whole row of Y in one step.
 """
 
 from dataclasses import dataclass
@@ -52,9 +74,6 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
         survives = alpha[inv[p] - 1] > 1
         pos += survives
         out.append((branch, pos if survives else 0))
-    survivors = [xp for xp in out if xp[1]]
-    if len(set(survivors)) != len(survivors):
-        raise AssertionError(f"row assignment {out} is not injective")
     return tuple(out)
 
 
@@ -131,6 +150,15 @@ def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int]
     return sigma, iota, branches
 
 
+def _alternating_split(a: int, n: int, eps: int) -> list[int]:
+    # the entries of one row (a, n) that nodes of alternating mode fill,
+    # starting with eps (module docstring)
+    q, r = divmod(n, a)
+    m = min(r, a - r)
+    pair = [q + 1, q] if eps == -1 else [q, q + 1]
+    return pair * m + [q + 1] * (r - m) + [q] * (a - r - m)
+
+
 def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> list[list[int]]:
     y_rows: list[list[int]] = [[] for _ in alpha]
     # A work item is one branch input with the row of Y of each of its rows,
@@ -139,6 +167,9 @@ def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> list[list[i
     work = [(alpha, nu, eps, range(len(alpha)))]
     while work:
         sub_alpha, sub_nu, sub_eps, rows = work.pop()
+        if len(rows) == 1:
+            y_rows[rows[0]] += _alternating_split(sub_alpha[0], sub_nu[0], sub_eps)
+            continue
         for alpha_x, nu_x, rows_x in _node(sub_alpha, sub_nu, sub_eps, rows, y_rows)[2]:
             if rows_x:
                 work.append((alpha_x, nu_x, -sub_eps, rows_x))

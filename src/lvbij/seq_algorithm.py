@@ -7,6 +7,15 @@ stages come one at a time: each passes on only its reduced input, so
 `alg_A` holds one stage at once.  The forward bijection is the dominant
 rearrangement of the result plus the doubled half-sum of positive roots.
 
+Once a single row is left, its remaining blocks are the balanced split of
+its entry.  A one-row stage of (a, N) has no overlaps and ranks nothing, so
+its block is ceil(N/a) and it passes on (a - 1, N - ceil(N/a)).  With
+N = q*a + r and 0 <= r < a, r > 0 gives the entry q + 1 and leaves
+N' = q*(a - 1) + (r - 1), the same q with r - 1; r = 0 gives q and leaves
+q*(a - 1), again r = 0.  So the row takes q + 1 for r stages, then q for
+a - r stages, and `_stages` yields that tail as at most two batches of one
+stage and its count.
+
 Rows of equal length share their overlap with all other rows and with the
 rows ranked so far, so a stage groups its rows by length and ranks and fills
 them in one pass that compares only the heads of the length classes: O(l*d)
@@ -15,7 +24,7 @@ their input with the helpers of `core`, and the kernels trust it.
 """
 
 from collections.abc import Iterator
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -197,10 +206,13 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[Stage]:
-    while True:
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple[Stage, int]]:
+    # Yields (stage, count) batches, each standing for count stages with the
+    # same block: count 1 while two or more rows are live, then the lone
+    # row's balanced split (module docstring) in at most two batches
+    while len(alpha) > 1:
         sigma, mu, _ = _rank_and_fill(-1, alpha, nu)
-        yield Stage(alpha, nu, sigma, mu)
+        yield Stage(alpha, nu, sigma, mu), 1
         # alpha is weakly decreasing, so its rows of length 1 come last; they
         # drop out, each receiving exactly its nu entry, and the survivors
         # lose a box and the block entry they were assigned
@@ -212,10 +224,15 @@ def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[Stage]:
             return
         nu = tuple(nu[i] - mu[sigma[i] - 1] for i in range(ell2))
         alpha = tuple(a - 1 for a in alpha[:ell2])
+    (a,), (n,) = alpha, nu
+    q, r = divmod(n, a)
+    if r:
+        yield Stage(alpha, nu, (1,), (q + 1,)), r
+    yield Stage((a - r,), (q * (a - r),), (1,), (q,)), a - r
 
 
 def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v for stage in _stages(alpha, nu) for v in stage.mu)
+    return tuple(chain.from_iterable(stage.mu * count for stage, count in _stages(alpha, nu)))
 
 
 def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
@@ -226,7 +243,15 @@ def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
     alpha = _as_partition(alpha)
     nu = _int_tuple(nu)
     _check_length("nu", nu, alpha.ell)
-    return tuple(_stages(alpha.parts, nu))
+    out = []
+    for stage, count in _stages(alpha.parts, nu):
+        out.append(stage)
+        if count > 1:
+            # a lone row's batch: each later stage has one box less and has
+            # given one more block entry away
+            (a,), (n,), (m,) = stage.alpha, stage.nu, stage.mu
+            out += (stage._replace(alpha=(a - k,), nu=(n - k * m,)) for k in range(1, count))
+    return tuple(out)
 
 
 def alg_A(alpha, nu) -> tuple[int, ...]:

@@ -140,6 +140,13 @@ def test_alg_W_matches_branch_plan_worklist():
         cases.append((list(range(s, 0, -1)), [rng.randint(-3, 3) for _ in range(s)]))
     for n in (1, 2, 3, 10, 57, 300):
         cases.append(([n], [rng.randint(-n, n)]))
+    # a lone row fills its whole row of Y in one step: entries with remainder
+    # 0, 1 or n - 1 (negative ones too), and longest rows outliving the rest
+    for n in (2, 3, 8, 41, 300):
+        for r in (0, 1, n - 1):
+            cases += [([n], [q * n + r]) for q in (-2, 0, 3)]
+    for alpha in ([9, 3, 3], [300, 2], [3, 9, 3], [17, 1, 1, 1], [60, 59]):
+        cases += [(alpha, [rng.randint(-40, 40) for _ in alpha]) for _ in range(4)]
     for alpha, nu in cases:
         for eps in (-1, 1):
             assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps)

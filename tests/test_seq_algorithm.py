@@ -11,6 +11,7 @@ from lvbij import (
     column_seq,
     dom,
     gamma_forward,
+    gamma_via_diagrams,
     norm_sq,
     omega_pairs,
     ranking,
@@ -197,6 +198,66 @@ def test_alg_A_holds_one_stage_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_alg_A_holds_one_stage_at_a_time_on_two_rows():
+    # (5000,) is now two batches, so this twin keeps two rows live through
+    # 4999 stages, each ranked and filled in full; the same bound applies
+    alg_A((5000, 4999), (0, 0))
+    tracemalloc.start()
+    try:
+        alg_A((5000, 4999), (0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def per_column_stages(alpha, nu):
+    # Algorithm A with one stage per column through the public ranking and
+    # column_seq, a lone row included: the reference for its batched tail
+    stages = []
+    while alpha:
+        sigma = ranking(-1, alpha, nu)
+        mu = column_seq(-1, alpha, nu, sigma)
+        stages.append((alpha, nu, sigma, mu))
+        keep = [i for i, a in enumerate(alpha) if a > 1]
+        nu = tuple(nu[i] - mu[sigma[i] - 1] for i in keep)
+        alpha = tuple(alpha[i] - 1 for i in keep)
+    return stages
+
+
+def lone_row_cases(rng):
+    # single rows whose entry leaves remainder 0, 1 or a - 1 (negative
+    # entries included), a longest row that outlives the rest, and staircases
+    cases = []
+    for a in (1, 2, 3, 7, 40, 301):
+        for r in sorted({0, 1 % a, a - 1}):
+            for q in (-3, 0, 2):
+                cases.append(((a,), (q * a + r,)))
+    for alpha in ((9, 3, 3), (300, 2), (17, 1), (12, 5, 5, 1), (60, 59)):
+        for _ in range(6):
+            cases.append((alpha, tuple(rng.randint(-40, 40) for _ in alpha)))
+    for s in range(1, 16):
+        cases.append((tuple(range(s, 0, -1)), tuple(rng.randint(-5, 5) for _ in range(s))))
+    return cases
+
+
+def test_alg_A_stages_match_per_column_stages():
+    for alpha, nu in lone_row_cases(random.Random(61)):
+        stages = alg_A_stages(alpha, nu)
+        assert [tuple(s) for s in stages] == per_column_stages(alpha, nu)
+        assert len(stages) == alpha[0]
+
+
+def test_long_row_exact_values():
+    # 123457 = 1 * 100000 + 23457: the balanced split is 2 for 23457 columns,
+    # then 1; one row has no root offset, so all three maps give the split
+    n = 100_000
+    for nu, expected in ((0, (0,) * n), (123_457, (2,) * 23_457 + (1,) * 76_543)):
+        assert alg_A((n,), (nu,)) == expected
+        assert gamma_forward((n,), (nu,)) == expected
+        assert gamma_via_diagrams((n,), (nu,)) == expected
 
 
 def test_alg_A_stage_table_golden():
