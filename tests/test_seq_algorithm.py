@@ -201,8 +201,8 @@ def test_alg_A_holds_one_stage_at_a_time():
 
 
 def test_alg_A_holds_one_stage_at_a_time_on_two_rows():
-    # (5000,) is now two batches, so this twin keeps two rows live through
-    # 4999 stages, each ranked and filled in full; the same bound applies
+    # a lone row like (5000,) runs as at most two batches, so this twin keeps
+    # two rows live through 4999 stages, each ranked and filled in full
     alg_A((5000, 4999), (0, 0))
     tracemalloc.start()
     try:
