@@ -219,10 +219,15 @@ def two_rho(alpha) -> tuple[int, ...]:
     Concatenates, for each column of height h, the block [h-1, h-3, ..., 1-h].
     Each block sums to zero and the whole sequence has length n.
     """
-    alpha = _as_partition(alpha)
+    parts = _as_partition(alpha).parts
     out: list[int] = []
-    for h in _column_heights(alpha.parts):
-        out.extend(range(h - 1, -h, -2))
+    width = 0
+    # from the shortest part up: columns width+1..a have height h, the parts >= a
+    for h, a in zip(range(len(parts), 0, -1), reversed(parts)):
+        if a > width:
+            block = range(h - 1, -h, -2)
+            out.extend(block if a - width == 1 else [*block] * (a - width))
+            width = a
     return tuple(out)
 
 

@@ -1,35 +1,36 @@
-"""Inverse of the bijection, built clump by clump.
+"""Inverse of the bijection, built one level at a time.
 
 A weakly decreasing weight splits into clumps (maximal runs with adjacent
 gaps at most 1).  From each clump a maximal-length subsequence with gaps at
 least 2 becomes the first column of a diagram; the rest of the clump is
 handled the same way with the opposite anchoring, and each first-column entry
 it yields attaches to the unique entry of its parent clump's first column
-within distance 1 on the prescribed side.
+within distance 1 on the prescribed side.  The extraction takes at most one
+entry of each value, and every value between a clump's ends occurs in it, so
+the remainder is kept as [value, multiplicity] runs, and entries attach by
+value.
 
-Every value between a clump's two ends occurs in it, and the extraction takes
-at most one entry of each value, so what it takes depends only on which
-values occur.  Each node of the construction therefore carries its remainder
-as [value, multiplicity] runs, and a first-column entry attaches by value.
+A level is one greedy scan of the whole remainder.  Clumps are at least 2
+apart, so the scan takes each clump's anchor (its top entry for eps = -1, its
+bottom entry for eps = +1), which is at least 2 from the last entry taken,
+and with it exactly the union of the clumps' own columns.  For the same
+reason an entry v of a sub-clump of a clump C has its candidate targets v and
+v + eps in [min C - 1, max C + 1], where no other clump's column has a value:
+the union of the previous level's columns gives the same attachment, or the
+same 0 or 2 free targets, as C's column alone.
 
-A level that empties no run leaves the same clump, so the next level, with
-the opposite rounding mode -eps, extracts the same column F' from it, and the
-level after that extracts F again.  The two attachments are maps by value:
-F' -> F sends v to v or v - eps, and F -> F' sends v to v or v + eps.  They
-are inverse bijections, because F has gaps of at least 2: whichever of v and
-v + eps an entry v of F reaches in F', that entry can reach only v back.  So
-from then on every placed row repeats its last two entries, and a run loses
-one entry per level it is taken at.  Algorithm B follows a clump in place
-while its levels empty no run.  After three such levels it runs, in one
-step, as many two-level periods as leave every run non-empty; three, so
-that both attachments of a period have run, with their checks, at full cost
-once.  Besides the entries it appends, a level costs O(runs of its clump),
-and so does a batch of periods, whatever their number.  A one-entry clump of
-the input is a one-box row, with no extraction; an attachment is two lookups
-in the parent's free targets.  The readout of `gamma_inverse` takes one
-Python step per run of equal-length rows, plus sums over the boxes.  Inputs
-are checked once, by `core._check_eps` and `_dominant_runs`, which yields
-the runs.
+A level that empties no run leaves the same clumps, so the next level, with
+the opposite rounding mode -eps, extracts the same column F' from them, and
+the level after that extracts F again.  The attachments F' -> F (v to v or
+v - eps) and F -> F' (v to v or v + eps) are inverse bijections, because F
+has gaps of at least 2: whichever of v and v + eps an entry v of F reaches in
+F', that entry can reach only v back.  So every placed row now repeats its
+last two entries.  After three levels in a row that empty no run (so that
+both attachments have run, with their checks, at full cost), one step runs as
+many of these periods as leave every run of the remainder non-empty.  Besides
+the entries it appends, a level costs O(runs left), and so does a batch of
+periods, whatever their number.  Inputs are checked once, by
+`core._check_eps` and `_dominant_runs`, which yields the runs.
 """
 
 from itertools import chain, repeat
@@ -107,61 +108,49 @@ def _majuscule_extract(clump: list[list[int]], eps: int) -> tuple[list[int], lis
 
 
 def _alg_B(runs: list[list[int]], eps: int) -> list[list[int]]:
+    # one iteration per level; placed is the level's column as free targets,
+    # value -> row, for the next level, and the top level starts a row per entry
     rows: list[list[int]] = []
-    # A node is the remainder of one clump as [value, multiplicity] runs, with
-    # the first column extracted from that clump as a dict of free targets,
-    # value -> row; the top node has none.  A parent is popped before its
-    # children, so every row grows left to right.  A level that empties no
-    # run leaves the same clump, which the next level takes on in place.
-    work = [(runs, eps, None)]
-    while work:
-        runs, node_eps, node_targets = work.pop()
-        for clump in _clumps(runs):
-            if node_targets is None and len(clump) == 1 and clump[0][1] == 1:
-                rows.append([clump[0][0]])  # all that a one-entry clump can give
-                continue
-            eps, targets, last_col, quiet = node_eps, node_targets, None, 0
-            while True:
-                first_col, remainder = _majuscule_extract(clump, eps)
-                placed = {}
-                for value in first_col:
-                    if targets is None:
-                        row = []
-                        rows.append(row)
-                    else:
-                        # the targets were extracted with the parent's rounding
-                        # mode, -eps, so value attaches to value or value + eps
-                        hit = value in targets
-                        if hit == (value + eps in targets):
-                            raise InternalConsistencyError(
-                                f"entry {value} has {2 if hit else 0} free attachment targets "
-                                f"in {sorted(targets, reverse=True)}")
-                        row = targets.pop(value if hit else value + eps)
-                    row.append(value)
-                    placed[value] = row
-                if len(remainder) < len(clump):
-                    if remainder:
-                        work.append((remainder, -eps, placed))
-                    break
-                quiet += 1
-                if quiet >= 3:
-                    _repeat_periods(clump, first_col, last_col, placed)
-                eps, targets, last_col = -eps, placed, first_col
+    placed, quiet = None, 0
+    while runs:
+        first_col, remainder = _majuscule_extract(runs, eps)
+        targets, placed = placed, {}
+        for value in first_col:
+            if targets is None:
+                row = []
+                rows.append(row)
+            else:
+                # the targets were extracted with the previous rounding mode,
+                # -eps, so value attaches to value or value + eps
+                hit = value in targets
+                if hit == (value + eps in targets):
+                    raise InternalConsistencyError(
+                        f"entry {value} has {2 if hit else 0} free attachment targets "
+                        f"in {sorted(targets, reverse=True)}")
+                row = targets.pop(value if hit else value + eps)
+            row.append(value)
+            placed[value] = row
+        if len(remainder) < len(runs):
+            quiet = 0
+        else:
+            quiet += 1
+            if quiet >= 3:
+                _repeat_periods(remainder, placed)
+        runs, eps = remainder, -eps
     return rows
 
 
-def _repeat_periods(clump: list[list[int]], first_col: list[int], last_col: list[int],
-                    placed: dict[int, list[int]]) -> None:
-    # The last three levels emptied no run, so the next two extract last_col
-    # and first_col again and attach them as the last two did: each placed
-    # row repeats its last two entries.  Run as many such periods as leave
-    # every run non-empty; a period takes dec[v] (1 or 2) entries of value v.
-    dec = dict.fromkeys(first_col, 1)
-    for v in last_col:
-        dec[v] = dec.get(v, 0) + 1
-    k = min((m - 1) // dec[v] for v, m in clump if v in dec)
+def _repeat_periods(runs: list[list[int]], placed: dict[int, list[int]]) -> None:
+    # the last three levels emptied no run, so each placed row repeats its
+    # last two entries; run as many such periods as leave every run non-empty,
+    # a period taking dec[v] (1 or 2) entries of value v
+    dec: dict[int, int] = {}
+    for row in placed.values():
+        for v in row[-2:]:
+            dec[v] = dec.get(v, 0) + 1
+    k = min((m - 1) // dec[v] for v, m in runs if v in dec)
     if k:
-        for run in clump:
+        for run in runs:
             run[1] -= k * dec.get(run[0], 0)
         for row in placed.values():
             row.extend(row[-2:] * k)

@@ -8,10 +8,10 @@ its entries c, so each box placed adds an exact cost without any sorting, and
 every row whose total rest is still owed by k boxes adds at least
 ceil(rest^2 / k) more (Cauchy-Schwarz); the search over the boxes is one loop.
 Distinguished diagrams are found by a search over fillings and row orders,
-one recursion level per row, that places a row only if it meets the
-conditions of `is_distinguished` that the rows above it already decide, and
-the sweep harnesses grind through every small input checking the advertised
-identities.  Both searches return what the plain enumeration
+one loop over an explicit stack of row positions, that places a row only if
+it meets the conditions of `is_distinguished` that the rows above it already
+decide, and the sweep harnesses grind through every small input checking the
+advertised identities.  Both searches return what the plain enumeration
 returns; `tests/test_oracle.py` checks them against it.  The public
 functions check their bounds and windows with the helpers of `core`.
 """
@@ -211,8 +211,7 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
-    if not _state_count(alpha, nu, window):
-        raise SearchSpaceError("the window admits no fillings at all")
+    _state_count(alpha, nu, window)
     lengths = alpha.parts
     heights = alpha.conjugate().parts
     windows = [_row_window(length, total, window) for length, total in zip(lengths, nu)]
@@ -285,13 +284,14 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
 
     Covers every in-window filling in every row order: sorting rows never
     changes the row data, so the search covers the whole fiber within the
-    window.  Rows are placed top to bottom, one recursion level per row, and
-    the entries placed so far are kept per column.  A row is placed only if,
-    at its position, it meets the two conditions of `is_distinguished` that
-    involve only the rows above it: its shifted entries step as condition 1
-    allows (see `_step_rows`), and no entry exceeds the one above it, which
-    is condition 4 (the column shift lowers each entry by 2 more than the one
-    above).  Each full diagram is then checked with `is_distinguished`.
+    window.  Rows are placed top to bottom, one generator per row position
+    on an explicit stack, and the entries placed so far are kept per column.
+    A row is placed only if, at its position, it meets the two conditions of
+    `is_distinguished` that involve only the rows above it: its shifted
+    entries step as condition 1 allows (see `_step_rows`), and no entry
+    exceeds the one above it, which is condition 4 (the column shift lowers
+    each entry by 2 more than the one above).  Each full diagram is then
+    checked with `is_distinguished`.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
@@ -302,13 +302,8 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     placed: list[tuple[int, ...]] = []
     found = []
 
-    def place() -> None:
-        if len(placed) == len(alpha.parts):
-            X = WeightDiagram._trusted(placed)
-            if is_distinguished(X, "odd"):
-                assert kappa(X) == nu
-                found.append(X)
-            return
+    def place_next() -> Iterator[tuple[int, ...]]:
+        # places each row that fits the next position, taking it back when resumed
         for (length, total), left in unplaced.items():
             if not left:
                 continue
@@ -320,13 +315,23 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
                 for column, x in zip(columns, row):
                     column.append(x)
                 placed.append(row)
-                place()
+                yield row
                 placed.pop()
                 for column in columns[:length]:
                     column.pop()
                 unplaced[length, total] += 1
 
-    place()
+    stack = [place_next()]
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(placed) < len(alpha.parts):
+            stack.append(place_next())
+        else:
+            X = WeightDiagram._trusted(placed)
+            if is_distinguished(X, "odd"):
+                assert kappa(X) == nu
+                found.append(X)
     return sorted(found, key=lambda d: d.rows)
 
 

@@ -236,6 +236,26 @@ def seeded_weights(rng):
                     lam += [v] * rng.randint(1, 40)
                     v -= rng.randint(0, 1)
         yield tuple(lam)
+    # several clumps [x+2]^m, [x+1]^c, [x]^m with a different m each: a
+    # clump's outer runs lose one entry per level and empty at its level m,
+    # so the clumps empty runs at staggered levels
+    for _ in range(30):
+        sizes = [rng.randint(2, 30) for _ in range(rng.randint(2, 6))]
+        lam, x = [], rng.randint(10, 40)
+        for m in sizes:
+            lam += [x + 2] * m + [x + 1] * rng.randint(1, 3) + [x] * m
+            x -= rng.randint(4, 6)
+        yield tuple(lam)
+    # clumps over contiguous values with short runs among long ones: a short
+    # run empties within the first levels and splits its clump part-way
+    for _ in range(30):
+        lam, v = [], rng.randint(0, 30)
+        for _ in range(rng.randint(1, 3)):
+            for _ in range(rng.randint(3, 8)):
+                lam += [v] * (rng.randint(1, 3) if rng.random() < 0.4 else rng.randint(8, 40))
+                v -= 1
+            v -= rng.randint(1, 3)
+        yield tuple(lam)
 
 
 def test_alg_B_matches_entrywise_construction():
@@ -253,9 +273,9 @@ def test_periods_wait_for_both_attachments(monkeypatch):
     first_batch = {}
     repeat_periods = inverse_algorithm._repeat_periods
 
-    def recording(clump, first_col, last_col, placed):
+    def recording(runs, placed):
         first_batch.setdefault("lengths", {len(row) for row in placed.values()})
-        repeat_periods(clump, first_col, last_col, placed)
+        repeat_periods(runs, placed)
 
     monkeypatch.setattr(inverse_algorithm, "_repeat_periods", recording)
     for lam in ((0,) * 50, (1,) * 40 + (0,) * 40, (3,) * 30 + (2,) * 31 + (1,) * 30):

@@ -236,6 +236,13 @@ def test_distinguished_fillings_of_a_long_row():
     assert distinguished_fillings([60], [0], 0) == [alg_W([60], [0], -1).left]
 
 
+def test_distinguished_fillings_of_a_long_column():
+    # rows are placed from an explicit stack, so 1200 one-box rows need no
+    # recursion level each
+    lengths, zeros = (1,) * 1200, (0,) * 1200
+    assert distinguished_fillings(lengths, zeros, 0) == [alg_W(lengths, zeros, -1).left]
+
+
 def test_pruned_searches_keep_the_search_space_guard():
     # the second input's count is about 5e18 fillings: the guard must refuse it
     # without counting them one window step at a time
