@@ -330,7 +330,7 @@ def test_inverse_of_long_inputs():
 
 
 def test_deep_inputs_under_default_recursion_limit():
-    # one stack entry per column: 1200 equal entries give a single row of 1200 boxes
+    # 1200 equal entries give a single row of 1200 boxes, with no recursion
     assert alg_B((0,) * 1200, -1) == WeightDiagram([[0] * 1200])
     assert gamma_inverse([0] * 1200) == ((1200,), (0,))
 
