@@ -93,13 +93,14 @@ def _runs(values: Iterable[int]) -> list[list[int]]:
     return [[v, len(list(run))] for v, run in groupby(values)]
 
 
-def _column_heights(lengths: Sequence[int]) -> list[int]:
+def _column_heights(lengths: Iterable[int]) -> list[int]:
     # entry j-1 counts the positive lengths that are >= j: in increasing
     # order, each length extends the columns to itself with the count of the
     # lengths not yet passed, O(len(lengths) log len(lengths) + max(lengths))
     heights: list[int] = []
+    lengths = sorted(lengths)
     count = len(lengths)
-    for a in sorted(lengths):
+    for a in lengths:
         if a > len(heights):
             heights += [count] * (a - len(heights))
         count -= 1

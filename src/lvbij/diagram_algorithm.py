@@ -9,6 +9,13 @@ rows; `branch_plan` is the public, fully populated view of one node.  The
 left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
 is checked with the helpers of `core`, and the nodes trust it.
 
+A node hands on only its fed branches, those that carry a row of length
+> 1.  A branch with no such row adds nothing to the correction's counts
+`total` and `before`, and has no row to correct.  With one fed branch,
+`total` is its own count and `before` is 0, so every weight
+c - 2*before - own is 0, and so is every shift: the correction runs only
+when two or more branches are fed.
+
 A branch of one row needs no node per column.  A node of one row (a, N)
 with mode eps has no overlaps and ranks nothing: it fills ceil(N/a) for
 eps = -1 and floor(N/a) for eps = +1, its column offset ell - 2p - 1 is 0,
@@ -43,7 +50,7 @@ from .core import (
     _inverse_permutation,
     _runs,
 )
-from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
+from .diagrams import DiagramPair, WeightDiagram, _shifted_rows, eta
 from .seq_algorithm import _length_counts, _min_overlaps, _rank_and_fill
 
 __all__ = [
@@ -82,7 +89,9 @@ class BranchPlan:
     """The public, fully populated view of one node of Algorithm W.
 
     A node is one pass over its positions, grouped by iota; `alg_W` reads
-    only each branch's rows, lengths and corrected nu from it.
+    only each fed branch's rows, lengths and corrected nu from it.  `k`
+    counts the empty branches too, which `branch_plan` rebuilds from the
+    runs of iota; their entries in the per-branch fields are empty.
     """
 
     sigma: tuple[int, ...]
@@ -100,22 +109,27 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
     # the node's rows of Y are its own positions here, so Y is thrown away
-    sigma, iota, branches = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
+    sigma, iota, fed = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
+    # a fed branch sits at the run of its first position's iota value; the
+    # other runs are the empty branches
+    runs = _runs(iota)
+    by_value = {iota[rows[0]]: (sub, hat, rows) for sub, hat, rows in fed}
+    branches = [by_value.get(value, ((), (), ())) for value, _ in runs]
     inv = _inverse_permutation(sigma)
     survivor_rows = tuple(tuple(p + 1 for p in rows) for _, _, rows in branches)
     sub_nu = tuple(tuple(nu[inv[p - 1] - 1] - iota[p - 1] for p in rows) for rows in survivor_rows)
-    return BranchPlan(sigma, iota, len(branches), survivor_rows,
+    return BranchPlan(sigma, iota, len(runs), survivor_rows,
                       tuple(tuple(sub) for sub, _, _ in branches), sub_nu,
                       tuple(tuple(hat) for _, hat, _ in branches),
-                      tuple(m for _, m in _runs(iota)))
+                      tuple(m for _, m in runs))
 
 
 def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int],
           y_rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...], list]:
     # One node of Algorithm W: rank and fill the first column, append it to
     # the node's rows of Y (row p of ell gets its entry plus ell - 2p - 1),
-    # and cut the positions into runs of equal iota, one branch each.  Returns
-    # sigma, iota and, per branch, empty ones included, its surviving rows'
+    # and cut the surviving rows into runs of equal iota, one fed branch each
+    # (module docstring).  Returns sigma, iota and, per fed branch, its rows'
     # lengths, corrected nu and rows of Y, in position order.
     ell = len(alpha)
     sigma, iota, at = _rank_and_fill(eps, alpha, nu)
@@ -124,12 +138,12 @@ def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int]
     for p, (j, r) in enumerate(zip(at, rows)):
         value = iota[p]
         y_rows[r].append(value + ell - 2 * p - 1)
-        if value != last:
-            last = value
-            sub_alpha, sub_nu, sub_rows = branch = ([], [], [])
-            branches.append(branch)
         a = alpha[j]
         if a > 1:
+            if value != last:
+                last = value
+                sub_alpha, sub_nu, sub_rows = branch = ([], [], [])
+                branches.append(branch)
             sub_alpha.append(a - 1)
             sub_nu.append(nu[j] - value)
             sub_rows.append(r)
@@ -171,8 +185,7 @@ def _alg_W(alpha: tuple[int, ...], nu: tuple[int, ...], eps: int) -> list[list[i
             y_rows[rows[0]] += _alternating_split(sub_alpha[0], sub_nu[0], sub_eps)
             continue
         for alpha_x, nu_x, rows_x in _node(sub_alpha, sub_nu, sub_eps, rows, y_rows)[2]:
-            if rows_x:
-                work.append((alpha_x, nu_x, -sub_eps, rows_x))
+            work.append((alpha_x, nu_x, -sub_eps, rows_x))
 
     if __debug__:
         # a branch may arrange its own rows freely, so only the multiset of
@@ -189,8 +202,8 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    Y = WeightDiagram._trusted(_alg_W(alpha, nu, eps))
-    return DiagramPair(e_inverse(Y), Y)
+    Y = _alg_W(alpha, nu, eps)
+    return DiagramPair(WeightDiagram._trusted(_shifted_rows(Y, -1)), WeightDiagram._trusted(Y))
 
 
 def gamma_via_diagrams(alpha, nu) -> tuple[int, ...]:

@@ -8,8 +8,8 @@ input; diagrams built from checked values skip that through `_trusted`.
 """
 
 from itertools import accumulate, groupby
-from operator import sub
-from typing import Iterable, NamedTuple
+from operator import add, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Partition, _check_bound, _check_int, _column_heights, _dom
 
@@ -93,28 +93,27 @@ def shape_class(X) -> Partition:
     return Partition._trusted(sorted(X.row_lengths(), reverse=True))
 
 
-def _apply_column_shift(X: WeightDiagram, direction: int) -> WeightDiagram:
-    # one pass over the boxes: shift[j] is what the next entry of column j+1
-    # moves by, direction * (height - 2 * position + 1), so each row that
-    # reaches that column takes 2 * direction off it
-    heights = _column_heights(X.row_lengths())
-    shift = [direction * (h - 1) for h in heights]
+def _shifted_rows(rows: Sequence[Sequence[int]], direction: int) -> list[tuple[int, ...]]:
+    # the column shift, one pass over the boxes: shift[j] is what the next
+    # entry of column j+1 moves by, direction * (height - 2 * position + 1),
+    # so each row that reaches that column takes 2 * direction off it
+    shift = [direction * (h - 1) for h in _column_heights(map(len, rows))]
     step = 2 * direction
-    rows = []
-    for row in X.rows:
-        rows.append([v + d for v, d in zip(row, shift)])
+    out = []
+    for row in rows:
+        out.append(tuple(map(add, row, shift)))
         shift[: len(row)] = [d - step for d in shift[: len(row)]]
-    return WeightDiagram._trusted(rows)
+    return out
 
 
 def e_map(X) -> WeightDiagram:
     """Shift each column entry by (column height) - 2*(position) + 1."""
-    return _apply_column_shift(_as_diagram(X), +1)
+    return WeightDiagram._trusted(_shifted_rows(_as_diagram(X).rows, +1))
 
 
 def e_inverse(Y) -> WeightDiagram:
     """Undo e_map; the shift depends only on the position, not the entry."""
-    return _apply_column_shift(_as_diagram(Y), -1)
+    return WeightDiagram._trusted(_shifted_rows(_as_diagram(Y).rows, -1))
 
 
 def kappa(X) -> tuple[int, ...]:
@@ -243,12 +242,12 @@ def is_distinguished(X, parity: str = "odd") -> bool:
     # 2 above it, nor, in the raising column parity, a same-parity one at
     # least 1 above it; the same for lowerable entries, below and with the
     # other column parity.  hi/lo range over all entries to the right, and
-    # same_hi/same_lo over those in columns of each parity.
+    # same_hi/same_lo over those in columns of each parity.  They start 2
+    # outside the row's range, where no entry of the row can trip them.
     raise_parity = 0 if parity == "odd" else 1  # 0-based j % 2 of the raising columns
-    inf = float("inf")
     for row, up, down in zip(rows, raisable, lowerable):
-        hi, lo = -inf, inf
-        same_hi, same_lo = [-inf, -inf], [inf, inf]
+        hi, lo = min(row) - 2, max(row) + 2
+        same_hi, same_lo = [hi, hi], [lo, lo]
         for j in reversed(range(len(row))):
             v, p = row[j], j % 2
             if up[j] and (hi >= v + 2 or (p == raise_parity and same_hi[p] >= v + 1)):

@@ -152,6 +152,34 @@ def test_alg_W_matches_branch_plan_worklist():
             assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps)
 
 
+@pytest.mark.parametrize("eps, alpha, nu, expected", [
+    (1, [1, 1, 2, 2, 3], [1, 1, 6, -1, -4],
+     dict(iota=(2, 1, 1, 0, 0), survivor_rows=((1,), (), (4, 5)), sub_nu_hat=((6,), (), (-2, -5)),
+          total_counts=(1, 2, 2))),
+    (-1, [1, 1, 1, 2, 2, 2], [1, 1, 0, -2, -2, 6],
+     dict(iota=(2, 1, 1, 0, 0, 0), survivor_rows=((1,), (), (4, 5)), sub_nu_hat=((6,), (), (-3, -3)),
+          total_counts=(1, 2, 3))),
+])
+def test_branch_plan_keeps_an_empty_branch_between_fed_ones(eps, alpha, nu, expected):
+    # the middle run of iota holds only one-box rows: branch_plan still
+    # counts and places it, and the branches on either side correct each other
+    plan = branch_plan(alpha, nu, eps)
+    assert plan.k == 3
+    for field, value in expected.items():
+        assert getattr(plan, field) == value, field
+
+
+def test_alg_W_matches_branch_plan_worklist_on_many_one_box_rows():
+    # one-box rows end at the first node, so most branches carry no row
+    rng = random.Random(61)
+    for _ in range(400):
+        ell = rng.randint(2, 12)
+        alpha = [1 if rng.random() < 0.6 else rng.randint(2, 5) for _ in range(ell)]
+        nu = [rng.randint(-6, 6) for _ in range(ell)]
+        for eps in (-1, 1):
+            assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps), (alpha, nu, eps)
+
+
 def test_gamma_via_diagrams_examples():
     assert gamma_via_diagrams([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (
         8, 7, 6, 6, 5, 4, 3, 3, 2, 2, 0,

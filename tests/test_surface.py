@@ -66,3 +66,16 @@ def test_readme_library_example():
     assert test.examples
     result = doctest.DocTestRunner().run(test)
     assert result.failed == 0
+
+
+def test_no_floating_point_in_the_package():
+    # README and core's docstring say that no floating point is involved:
+    # no float literal, no call to float and no true division anywhere
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if ((isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                    or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+                    or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

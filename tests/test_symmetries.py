@@ -72,6 +72,15 @@ def test_alg_W_rounding_modes_are_dual():
         assert list(up) == _negated(reversed(down)), (alpha, nu)
 
 
+def test_alg_W_rounding_modes_are_dual_on_every_input_of_omega_pairs_6_3():
+    pairs = [(alpha.parts, nu) for alpha, nu in omega_pairs(6, 3)]
+    assert len(pairs) == 6741
+    for alpha, nu in pairs:
+        up = alg_W(alpha, nu, 1).right.rows
+        down = alg_W(alpha, _star(alpha, nu), -1).right.rows
+        assert list(up) == _negated(reversed(down)), (alpha, nu)
+
+
 def test_alg_B_rounding_modes_are_dual():
     for lam in WEIGHTS:
         up = alg_B(lam, 1).rows
