@@ -5,8 +5,8 @@ fills the first column of its rows in the right output diagram Y, cuts the
 surviving rows into branches (one per distinct first-column entry), corrects
 each branch's residual input for the other branches, and hands each branch
 on, with the opposite rounding mode, to fill the next columns of the same
-rows; `branch_plan` is the public, fully populated view of one node.  The
-left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
+rows; `branch_plan` is the public view of one node, the record it hands on.
+The left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
 is checked with the helpers of `core`, and the nodes trust it.
 
 A node hands on only its fed branches, those that carry a row of length
@@ -48,7 +48,6 @@ from .core import (
     _check_permutation,
     _check_rows,
     _inverse_permutation,
-    _runs,
 )
 from .diagrams import DiagramPair, WeightDiagram, _shifted_rows, eta
 from .seq_algorithm import _length_counts, _min_overlaps, _rank_and_fill
@@ -86,22 +85,14 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class BranchPlan:
-    """The public, fully populated view of one node of Algorithm W.
-
-    A node is one pass over its positions, grouped by iota; `alg_W` reads
-    only each fed branch's rows, lengths and corrected nu from it.  `k`
-    counts the empty branches too, which `branch_plan` rebuilds from the
-    runs of iota; their entries in the per-branch fields are empty.
-    """
+    """One node of Algorithm W: sigma, iota and, per fed branch in position
+    order, what it hands on.  The runs of iota are all the branches."""
 
     sigma: tuple[int, ...]
     iota: tuple[int, ...]
-    k: int  # number of branches, empty ones included
-    survivor_rows: tuple[tuple[int, ...], ...]  # per branch: top-level rows, in position order
+    survivor_rows: tuple[tuple[int, ...], ...]  # per fed branch: top-level rows, in position order
     sub_alpha: tuple[tuple[int, ...], ...]
-    sub_nu: tuple[tuple[int, ...], ...]
-    sub_nu_hat: tuple[tuple[int, ...], ...]  # sub_nu with the cross-branch correction
-    total_counts: tuple[int, ...]  # per branch: count of all rows, surviving or not
+    sub_nu_hat: tuple[tuple[int, ...], ...]  # nu - iota, corrected across branches
 
 
 def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
@@ -110,18 +101,8 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     alpha, nu = _check_rows(alpha, nu)
     # the node's rows of Y are its own positions here, so Y is thrown away
     sigma, iota, fed = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
-    # a fed branch sits at the run of its first position's iota value; the
-    # other runs are the empty branches
-    runs = _runs(iota)
-    by_value = {iota[rows[0]]: (sub, hat, rows) for sub, hat, rows in fed}
-    branches = [by_value.get(value, ((), (), ())) for value, _ in runs]
-    inv = _inverse_permutation(sigma)
-    survivor_rows = tuple(tuple(p + 1 for p in rows) for _, _, rows in branches)
-    sub_nu = tuple(tuple(nu[inv[p - 1] - 1] - iota[p - 1] for p in rows) for rows in survivor_rows)
-    return BranchPlan(sigma, iota, len(runs), survivor_rows,
-                      tuple(tuple(sub) for sub, _, _ in branches), sub_nu,
-                      tuple(tuple(hat) for _, hat, _ in branches),
-                      tuple(m for _, m in runs))
+    return BranchPlan(sigma, iota, tuple(tuple(p + 1 for p in rows) for _, _, rows in fed),
+                      tuple(tuple(a) for a, _, _ in fed), tuple(tuple(v) for _, v, _ in fed))
 
 
 def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int],

@@ -69,21 +69,20 @@ class SearchSpaceError(ValueError):
     """The requested enumeration would visit too many states."""
 
 
+def _partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    if remaining == 0:
+        yield ()
+        return
+    for p in range(min(remaining, max_part), 0, -1):
+        for rest in _partitions(remaining - p, p):
+            yield (p,) + rest
+
+
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, parts in weakly decreasing order, largest part first."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - p, p):
-                yield (p,) + rest
-
     n = _check_int(n)
-    if n >= 1:
-        for parts in rec(n, n):
-            yield Partition._trusted(parts)
+    # n = 0 would give the empty partition, which is not a Partition
+    return (Partition._trusted(parts) for parts in _partitions(n, n) if parts)
 
 
 def dominant_sequences(alpha, entry_bound: int) -> Iterator[tuple[int, ...]]:
@@ -182,12 +181,11 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
     _state_count(alpha, nu, window)
-    # product reads each row's contents once, before its first filling
-    for rows in product(*(
+    # product reads each row's contents once, here, before the first filling
+    return map(WeightDiagram._trusted, product(*(
         _row_compositions(length, total, *_row_window(length, total, window))
         for length, total in zip(alpha.parts, nu)
-    )):
-        yield WeightDiagram._trusted(rows)
+    )))
 
 
 def min_norm_over_fillings(alpha, nu, window: int) -> int:

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
@@ -7,6 +7,7 @@ from lvbij import (
     WeightDiagram,
     alg_W,
     branch_plan,
+    column_seq,
     concat,
     dom,
     e_map,
@@ -15,6 +16,7 @@ from lvbij import (
     is_distinguished,
     kappa,
     omega_pairs,
+    ranking,
     row_survival,
 )
 
@@ -68,16 +70,28 @@ def test_alg_W_validation():
         alg_W([1], [1], 2)
 
 
+def run_lengths(iota):
+    # one branch per run of equal first-column entries, empty ones included
+    return tuple(len(list(run)) for _, run in groupby(iota))
+
+
+def residuals(plan, nu):
+    # each fed row's nu entry minus its first-column entry, before correction
+    row_at = {p: i for i, p in enumerate(plan.sigma)}
+    return tuple(tuple(nu[row_at[p]] - plan.iota[p - 1] for p in rows)
+                 for rows in plan.survivor_rows)
+
+
 def test_branch_plan_golden():
-    plan = branch_plan([1, 2, 3], [5, 10, 11], 1)
+    nu = [5, 10, 11]
+    plan = branch_plan([1, 2, 3], nu, 1)
     assert plan.sigma == (1, 2, 3)
     assert plan.iota == (5, 5, 4)
-    assert plan.k == 2
+    assert run_lengths(plan.iota) == (2, 1)
     assert plan.survivor_rows == ((2,), (3,))
     assert plan.sub_alpha == ((1,), (2,))
-    assert plan.sub_nu == ((5,), (7,))
+    assert residuals(plan, nu) == ((5,), (7,))
     assert plan.sub_nu_hat == ((6,), (6,))
-    assert plan.total_counts == (2, 1)
 
 
 def test_branch_correction_over_many_rows_of_few_lengths():
@@ -92,9 +106,9 @@ def test_branch_correction_over_many_rows_of_few_lengths():
         for eps in (-1, 1):
             plan = branch_plan(alpha, nu, eps)
             expected = []
-            for x in range(plan.k):
+            for x, sub_nu in enumerate(residuals(plan, nu)):
                 hat = []
-                for a, v in zip(plan.sub_alpha[x], plan.sub_nu[x]):
+                for a, v in zip(plan.sub_alpha[x], sub_nu):
                     for xp, sub in enumerate(plan.sub_alpha):
                         if xp != x:
                             sign = -1 if xp < x else 1
@@ -104,27 +118,44 @@ def test_branch_correction_over_many_rows_of_few_lengths():
             assert plan.sub_nu_hat == tuple(expected)
 
 
-def branch_plan_worklist(alpha, nu, eps):
-    # Algorithm W as a worklist driven by the public branch_plan: each node
-    # appends its first column to its rows of Y (row p of ell shifted by
-    # ell - 2p - 1) and hands on each non-empty branch's surviving rows with
-    # their lengths, corrected nu and the opposite rounding mode
+def public_worklist(alpha, nu, eps):
+    # Algorithm W from the public ranking and column_seq alone: each node
+    # appends its first column to its rows of Y (position p of ell shifted by
+    # ell - 2p - 1), cuts its positions at the runs of iota, keeps the rows of
+    # length > 1 and hands each non-empty branch on with the opposite rounding
+    # mode.  A row of length a in branch x, a - 1 for the child, loses
+    # min(a - 1, b - 1) for each row b of the branches before x and gains it
+    # for each row of the branches after x.
     y_rows = [[] for _ in alpha]
     work = [(alpha, nu, eps, list(range(len(alpha))))]
     while work:
         sub_alpha, sub_nu, sub_eps, rows = work.pop()
         ell = len(sub_alpha)
-        plan = branch_plan(sub_alpha, sub_nu, sub_eps)
-        for p, (r, value) in enumerate(zip(rows, plan.iota)):
-            y_rows[r].append(value + ell - 2 * p - 1)
-        for x, survivors in enumerate(plan.survivor_rows):
-            if survivors:
-                child_rows = [rows[i - 1] for i in survivors]
-                work.append((plan.sub_alpha[x], plan.sub_nu_hat[x], -sub_eps, child_rows))
+        sigma = ranking(sub_eps, sub_alpha, sub_nu)
+        iota = column_seq(sub_eps, sub_alpha, sub_nu, sigma)
+        at = {p - 1: i for i, p in enumerate(sigma)}
+        branches = []
+        for p, value in enumerate(iota):
+            y_rows[rows[p]].append(value + ell - 2 * p - 1)
+            if p == 0 or value != iota[p - 1]:
+                branches.append([])
+            if sub_alpha[at[p]] > 1:
+                branches[-1].append(p)
+        fed = [[(sub_alpha[at[p]] - 1, sub_nu[at[p]] - iota[p], rows[p]) for p in branch]
+               for branch in branches if branch]
+        for x, branch in enumerate(fed):
+            child_nu = []
+            for a, v, _ in branch:
+                for xp, other in enumerate(fed):
+                    if xp != x:
+                        sign = -1 if xp < x else 1
+                        v += sign * sum(min(a, b) for b, _, _ in other)
+                child_nu.append(v)
+            work.append(([a for a, _, _ in branch], child_nu, -sub_eps, [r for _, _, r in branch]))
     return WeightDiagram(y_rows)
 
 
-def test_alg_W_matches_branch_plan_worklist():
+def test_alg_W_matches_public_worklist():
     rng = random.Random(59)
     cases = []
     for _ in range(300):
@@ -149,27 +180,25 @@ def test_alg_W_matches_branch_plan_worklist():
         cases += [(alpha, [rng.randint(-40, 40) for _ in alpha]) for _ in range(4)]
     for alpha, nu in cases:
         for eps in (-1, 1):
-            assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps)
+            assert alg_W(alpha, nu, eps).right == public_worklist(alpha, nu, eps)
 
 
 @pytest.mark.parametrize("eps, alpha, nu, expected", [
     (1, [1, 1, 2, 2, 3], [1, 1, 6, -1, -4],
-     dict(iota=(2, 1, 1, 0, 0), survivor_rows=((1,), (), (4, 5)), sub_nu_hat=((6,), (), (-2, -5)),
-          total_counts=(1, 2, 2))),
+     dict(iota=(2, 1, 1, 0, 0), survivor_rows=((1,), (4, 5)), sub_nu_hat=((6,), (-2, -5)))),
     (-1, [1, 1, 1, 2, 2, 2], [1, 1, 0, -2, -2, 6],
-     dict(iota=(2, 1, 1, 0, 0, 0), survivor_rows=((1,), (), (4, 5)), sub_nu_hat=((6,), (), (-3, -3)),
-          total_counts=(1, 2, 3))),
+     dict(iota=(2, 1, 1, 0, 0, 0), survivor_rows=((1,), (4, 5)), sub_nu_hat=((6,), (-3, -3)))),
 ])
 def test_branch_plan_keeps_an_empty_branch_between_fed_ones(eps, alpha, nu, expected):
-    # the middle run of iota holds only one-box rows: branch_plan still
-    # counts and places it, and the branches on either side correct each other
+    # the middle run of iota holds only one-box rows: that branch hands on
+    # nothing, and the fed branches on either side still correct each other
     plan = branch_plan(alpha, nu, eps)
-    assert plan.k == 3
+    assert run_lengths(plan.iota) == (1, 2, len(alpha) - 3)
     for field, value in expected.items():
         assert getattr(plan, field) == value, field
 
 
-def test_alg_W_matches_branch_plan_worklist_on_many_one_box_rows():
+def test_alg_W_matches_public_worklist_on_many_one_box_rows():
     # one-box rows end at the first node, so most branches carry no row
     rng = random.Random(61)
     for _ in range(400):
@@ -177,7 +206,7 @@ def test_alg_W_matches_branch_plan_worklist_on_many_one_box_rows():
         alpha = [1 if rng.random() < 0.6 else rng.randint(2, 5) for _ in range(ell)]
         nu = [rng.randint(-6, 6) for _ in range(ell)]
         for eps in (-1, 1):
-            assert alg_W(alpha, nu, eps).right == branch_plan_worklist(alpha, nu, eps), (alpha, nu, eps)
+            assert alg_W(alpha, nu, eps).right == public_worklist(alpha, nu, eps), (alpha, nu, eps)
 
 
 def test_gamma_via_diagrams_examples():
@@ -275,7 +304,8 @@ def test_cat_decomposition_over_full_branches():
             for i, p in enumerate(plan.sigma, start=1):
                 inv[p - 1] = i
             # branch x holds every position whose iota value is the x-th distinct one
-            full_rows = [[] for _ in range(plan.k)]
+            k = len(run_lengths(plan.iota))
+            full_rows = [[] for _ in range(k)]
             x = 0
             for i, value in enumerate(plan.iota, start=1):
                 if i > 1 and value != plan.iota[i - 2]:
@@ -288,11 +318,11 @@ def test_cat_decomposition_over_full_branches():
                 tuple(nu[inv[i - 1] - 1] for i in rows) for rows in full_rows
             ]
             pieces = []
-            for x in range(plan.k):
+            for x in range(k):
                 hat = []
                 for a, v in zip(full_alpha[x], full_nu[x]):
                     v -= sum(min(a, b) for xp in range(x) for b in full_alpha[xp])
-                    v += sum(min(a, b) for xp in range(x + 1, plan.k) for b in full_alpha[xp])
+                    v += sum(min(a, b) for xp in range(x + 1, k) for b in full_alpha[xp])
                     hat.append(v)
                 pieces.append(alg_W(full_alpha[x], hat, eps).right)
             assert concat(*pieces) == alg_W(alpha, nu, eps).right

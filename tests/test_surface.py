@@ -3,13 +3,15 @@
 import ast
 import doctest
 import importlib
+import inspect
 from pathlib import Path
 
 import lvbij
 
 PACKAGE = Path(lvbij.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _tree(module: str) -> ast.Module:
@@ -35,6 +37,30 @@ def test_every_function_the_benchmark_traces_exists():
         mod = importlib.import_module(f"lvbij.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def _lv_name(node: ast.AST) -> str | None:
+    # the benchmark scripts import the package as `lv`
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "lv":
+        return node.attr
+    return None
+
+
+def test_every_name_and_keyword_the_benchmark_uses_resolves():
+    # each `lv.<name>` the benchmark scripts read must exist, and each keyword
+    # of an `lv.<name>(...)` call must be a parameter of that function, or the
+    # benchmark's own command breaks
+    names, keywords = set(), set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name := _lv_name(node):
+                names.add(name)
+            elif isinstance(node, ast.Call) and (name := _lv_name(node.func)):
+                keywords.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    assert ("roundtrip_sweep", "extended") in keywords
+    assert [name for name in sorted(names) if not hasattr(lvbij, name)] == []
+    for name, keyword in sorted(keywords):
+        assert keyword in inspect.signature(getattr(lvbij, name)).parameters, f"{name}({keyword}=...)"
 
 
 def test_only_core_defines_check_helpers():
