@@ -88,9 +88,24 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _runs(values: Iterable[int]) -> list[list[int]]:
-    # [value, multiplicity] for each maximal run of equal adjacent values, in order
-    return [[v, len(list(run))] for v, run in groupby(values)]
+def _length_counts(lengths: Iterable[int]) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for a in lengths:
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def _min_overlaps(weights: dict[int, int]) -> dict[int, int]:
+    # for each length a: sum over lengths b of weights[b] * min(a, b), in one
+    # sweep over the lengths in increasing order
+    out = {}
+    low = 0  # sum of weights[b] * b over b < a
+    high = sum(weights.values())  # sum of weights[b] over b >= a
+    for a in sorted(weights):
+        out[a] = low + a * high
+        low += weights[a] * a
+        high -= weights[a]
+    return out
 
 
 def _column_heights(lengths: Iterable[int]) -> list[int]:
@@ -156,7 +171,7 @@ class Partition:
 
     def distinct_parts(self) -> tuple[tuple[int, int], ...]:
         """The distinct part values in decreasing order, each with its multiplicity."""
-        return tuple(map(tuple, _runs(self.parts)))
+        return tuple((p, len(list(run))) for p, run in groupby(self.parts))
 
     def __iter__(self):
         return iter(self.parts)

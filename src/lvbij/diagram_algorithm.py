@@ -48,9 +48,11 @@ from .core import (
     _check_permutation,
     _check_rows,
     _inverse_permutation,
+    _length_counts,
+    _min_overlaps,
 )
 from .diagrams import DiagramPair, WeightDiagram, _shifted_rows, eta
-from .seq_algorithm import _length_counts, _min_overlaps, _rank_and_fill
+from .seq_algorithm import _rank_and_fill
 
 __all__ = [
     "BranchPlan",

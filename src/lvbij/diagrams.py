@@ -7,11 +7,19 @@ to bottom.  The `WeightDiagram` constructor and the helpers of `core` check
 input; diagrams built from checked values skip that through `_trusted`.
 """
 
-from itertools import accumulate, groupby
-from operator import add, sub
+from itertools import groupby
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Partition, _check_bound, _check_int, _column_heights, _dom
+from .core import (
+    Partition,
+    _check_bound,
+    _check_int,
+    _column_heights,
+    _dom,
+    _length_counts,
+    _min_overlaps,
+)
 
 __all__ = [
     "WeightDiagram",
@@ -122,13 +130,13 @@ def kappa(X) -> tuple[int, ...]:
     The result is dominant with respect to the shape-class.
     """
     X = _as_diagram(X)
-    return _kappa((len(row), sum(row)) for row in X.rows)
-
-
-def _kappa(lengths_and_sums: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     sums_by_length: dict[int, list[int]] = {}
-    for length, total in lengths_and_sums:
-        sums_by_length.setdefault(length, []).append(total)
+    for row in X.rows:
+        sums_by_length.setdefault(len(row), []).append(sum(row))
+    return _kappa(sums_by_length)
+
+
+def _kappa(sums_by_length: dict[int, list[int]]) -> tuple[int, ...]:
     out: list[int] = []
     for length in sorted(sums_by_length, reverse=True):
         out.extend(_dom(sums_by_length[length]))
@@ -138,25 +146,31 @@ def _kappa(lengths_and_sums: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 def _preimage_readout(rows: list[list[int]]) -> tuple[Partition, tuple[int, ...]]:
     # (shape_class(X), kappa(X)) for X = e_inverse(Y), read off the rows of Y
     # without building X.  e_inverse keeps the row lengths and takes
-    # h_j - 1 - 2 * above_j off entry j, with h_j the height of column j and
-    # above_j the rows above that reach it; top[j] holds h_j - 2 * above_j,
-    # lowered as far as a row below still reads it.  Within a run of k rows
-    # of length L every row but the last is followed by one reaching column L,
-    # so row t of the run reads 2 * t * L less than its first row; the run
-    # costs one sum and one update of top.  O(boxes).
-    lengths = [len(row) for row in rows]
-    top = _column_heights(lengths)
-    below = list(accumulate(reversed(lengths), max, initial=0))[-2::-1]  # longest row below
-    sums: list[int] = []
+    # h_j - 1 - 2 * above_j off entry j of a row, with above_j (below_j) the
+    # rows above (below) it that reach column j.  The row reaches column j,
+    # so h_j = above_j + 1 + below_j, and the entry loses below_j - above_j.
+    # Summed over the row's L columns, that is B - A, where A (B) is the sum
+    # of min(L, L') over the rows above (below) it.  With T(L) the same sum
+    # over all rows, the row itself included, B = T(L) - L - A, so the row
+    # sum grows by 2 * A - T(L) + L.  A is read once per run of equal lengths
+    # off the per-length counts of the rows above the run, and each further
+    # row of the run has one more row of length L above it, so it grows by
+    # 2 * L more.  O(runs * d) for d distinct lengths, besides the box sums.
+    lengths = list(map(len, rows))
+    overlaps = _min_overlaps(_length_counts(lengths))
+    above: dict[int, int] = {}  # per length, the rows above the run
+    sums_by_length: dict[int, list[int]] = {}
     start = 0
     for length, run in groupby(lengths):
         k, step = len(list(run)), 2 * length
-        first = sum(top[:length]) - length  # what the run's first row loses
-        sums += map(sub, map(sum, rows[start : start + k]), range(first, first - step * k, -step))
+        first = length - overlaps[length]  # what the run's first row gains
+        for b, c in above.items():
+            first += 2 * c * (b if b < length else length)
+        sums_by_length.setdefault(length, []).extend(
+            map(add, map(sum, rows[start : start + k]), range(first, first + step * k, step)))
+        above[length] = above.get(length, 0) + k
         start += k
-        cut = min(length, below[start - 1])
-        top[:cut] = [d - 2 * k for d in top[:cut]]
-    return Partition._trusted(sorted(lengths, reverse=True)), _kappa(zip(lengths, sums))
+    return Partition._trusted(sorted(lengths, reverse=True)), _kappa(sums_by_length)
 
 
 def h_weight(X) -> tuple[int, ...]:

@@ -33,9 +33,9 @@ periods, whatever their number.  Inputs are checked once, by
 `core._check_eps` and `_dominant_runs`, which yields the runs.
 """
 
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
-from .core import OmegaPair, _check_eps, _int_tuple, _runs
+from .core import OmegaPair, _check_eps, _int_tuple
 from .diagrams import WeightDiagram, _preimage_readout
 
 __all__ = [
@@ -52,13 +52,20 @@ class InternalConsistencyError(RuntimeError):
 
 
 def _dominant_runs(lam) -> list[list[int]]:
-    # the [value, multiplicity] runs of a non-empty, weakly decreasing weight
+    # the [value, multiplicity] runs of a non-empty, weakly decreasing weight;
+    # the same pass checks the order, since the weight is weakly decreasing
+    # if and only if no run's value exceeds the one before
     lam = _int_tuple(lam)
     if not lam:
         raise ValueError("the input weight must be non-empty")
-    if list(lam) != sorted(lam, reverse=True):
-        raise ValueError(f"the input weight must be weakly decreasing, got {list(lam)}")
-    return _runs(lam)
+    runs: list[list[int]] = []
+    last = lam[0]
+    for v, run in groupby(lam):
+        if v > last:
+            raise ValueError(f"the input weight must be weakly decreasing, got {list(lam)}")
+        last = v
+        runs.append([v, len(list(run))])
+    return runs
 
 
 def _expand(runs) -> tuple[int, ...]:

@@ -168,9 +168,21 @@ def _state_count(alpha: Partition, nu, window: int) -> int:
         if states > STATE_LIMIT:
             raise SearchSpaceError(
                 f"window {window} spans more than {STATE_LIMIT} fillings "
-                f"(at least {states} states)"
+                f"(at least {_count_text(states)} states)"
             )
     return states
+
+
+def _count_text(count: int) -> str:
+    # the count itself up to 20 digits, else its number of digits, found with
+    # integers only (str() of a count past 4300 digits raises ValueError):
+    # 1233 / 4096 < log10(2), so the first guess is at most the digit count
+    if count < 10**20:
+        return str(count)
+    digits = (count.bit_length() - 1) * 1233 // 4096 + 1
+    while 10**digits <= count:
+        digits += 1
+    return f"a {digits}-digit number of"
 
 
 def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:

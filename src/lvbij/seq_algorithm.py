@@ -40,6 +40,8 @@ from .core import (
     _dom,
     _int_tuple,
     _inverse_permutation,
+    _length_counts,
+    _min_overlaps,
 )
 
 __all__ = [
@@ -90,26 +92,6 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
     return _rank_and_fill(eps, alpha, nu)[0]
-
-
-def _length_counts(alpha: Iterable[int]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for a in alpha:
-        counts[a] = counts.get(a, 0) + 1
-    return counts
-
-
-def _min_overlaps(weights: dict[int, int]) -> dict[int, int]:
-    # for each length a: sum over lengths b of weights[b] * min(a, b), in one
-    # sweep over the lengths in increasing order
-    out = {}
-    low = 0  # sum of weights[b] * b over b < a
-    high = sum(weights.values())  # sum of weights[b] over b >= a
-    for a in sorted(weights):
-        out[a] = low + a * high
-        low += weights[a] * a
-        high -= weights[a]
-    return out
 
 
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]

@@ -84,8 +84,8 @@ def test_e_roundtrip_random():
 
 def test_preimage_readout_over_runs_of_equal_length_rows():
     # runs of equal-length rows followed by shorter, longer and equal rows:
-    # the readout updates the column offsets once per run, so a wrong cut at
-    # the end of a run shows in the rows after it
+    # the readout reads each run's overlap with the rows above it once, so a
+    # wrong count at the end of a run shows in the rows after it
     rng = random.Random(7)
     for _ in range(400):
         rows, length = [], rng.randint(1, 6)
@@ -93,6 +93,20 @@ def test_preimage_readout_over_runs_of_equal_length_rows():
             for _ in range(rng.randint(1, 5)):
                 rows.append([rng.randint(-9, 9) for _ in range(length)])
             length = max(1, length + rng.randint(-3, 3))
+        X = e_inverse(WeightDiagram(rows))
+        assert _preimage_readout(rows) == (shape_class(X), kappa(X)), rows
+    # staircase orders, where every run is one row of a new length, and runs
+    # of one-box rows among longer rows: the orders with the most and the
+    # fewest lengths above a run
+    layouts = []
+    for s in range(1, 13):
+        up = list(range(1, s + 1))
+        layouts += [up, up[::-1], up[1::2] + up[::-2], up[::-1] + up]
+    for _ in range(100):
+        layouts.append([rng.choice((1, 1, 1, rng.randint(2, 6))) for _ in range(rng.randint(1, 12))])
+        layouts.append([1] * rng.randint(1, 9) + [rng.randint(2, 6)] + [1] * rng.randint(0, 9))
+    for lengths in layouts:
+        rows = [[rng.randint(-9, 9) for _ in range(length)] for length in lengths]
         X = e_inverse(WeightDiagram(rows))
         assert _preimage_readout(rows) == (shape_class(X), kappa(X)), rows
 

@@ -32,11 +32,24 @@ def test_clumps_examples():
     assert clumps([7, 6, 5, 3, 3, 2]) == ((7, 6, 5), (3, 3, 2))
 
 
+# weights that are empty or not weakly decreasing, with the message each
+# inverse entry point gives: a rise at the first pair, right after a run, and
+# at the last pair, which the run scan meets at its first, a middle and its
+# last run
+BAD_WEIGHTS = [
+    ([], "the input weight must be non-empty"),
+    *((lam, f"the input weight must be weakly decreasing, got {lam}")
+      for lam in ([1, 2], [3, 3, 2, 2, 3], [5, 4, 4, 5])),
+]
+
+
 def test_clumps_validation():
-    with pytest.raises(ValueError):
-        clumps([])
-    with pytest.raises(ValueError):
-        clumps([1, 2])
+    for lam, message in BAD_WEIGHTS:
+        for call in (lambda: clumps(lam), lambda: majuscule_extract(lam, -1),
+                     lambda: majuscule_extract(lam, 1)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
 
 
 def test_majuscule_extract_examples():
@@ -114,10 +127,11 @@ def test_gamma_inverse_examples():
 
 
 def test_gamma_inverse_validation():
-    with pytest.raises(ValueError):
-        gamma_inverse([])
-    with pytest.raises(ValueError):
-        gamma_inverse([1, 2])
+    for lam, message in BAD_WEIGHTS:
+        for call in (lambda: gamma_inverse(lam), lambda: alg_B(lam, -1), lambda: alg_B(lam, 1)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
 
 
 def test_gamma_inverse_output_is_dominant():

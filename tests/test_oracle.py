@@ -246,12 +246,15 @@ def test_distinguished_fillings_of_a_long_column():
 
 def test_pruned_searches_keep_the_search_space_guard():
     # the second input's count is about 5e18 fillings: the guard must refuse it
-    # without counting them one window step at a time
-    for alpha, nu, window in (([9, 9, 9, 9], [0, 0, 0, 0], 40), ([4], [0], 10**6)):
-        with pytest.raises(SearchSpaceError):
-            min_norm_over_fillings(alpha, nu, window)
-        with pytest.raises(SearchSpaceError):
-            distinguished_fillings(alpha, nu, window)
+    # without counting them one window step at a time.  The third's has 1850
+    # digits and the fourth's 6029, past what str() converts: the message
+    # gives such a count by its number of digits
+    for alpha, nu, window in (([9, 9, 9, 9], [0, 0, 0, 0], 40), ([4], [0], 10**6),
+                              ([200], [0], 10**9), ([200], [0], 10**30)):
+        for search in (min_norm_over_fillings, distinguished_fillings):
+            with pytest.raises(SearchSpaceError) as refused:
+                search(alpha, nu, window)
+            assert len(str(refused.value)) < 120
 
 
 def test_distinguished_fillings_golden():

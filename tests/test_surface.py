@@ -74,13 +74,17 @@ def test_only_core_defines_check_helpers():
 
 
 def test_inverse_algorithm_does_not_import_seq_algorithm():
-    imported = set()
-    for node in ast.walk(_tree("inverse_algorithm")):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert imported and not any(name and "seq_algorithm" in name for name in imported)
+    # nothing on gamma_inverse's path imports seq_algorithm: not
+    # inverse_algorithm, and not diagrams, whose readout takes its overlap
+    # helpers from core
+    for module in ("inverse_algorithm", "diagrams"):
+        imported = set()
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert imported and not any(name and "seq_algorithm" in name for name in imported), module
 
 
 def test_readme_library_example():
