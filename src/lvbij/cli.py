@@ -150,9 +150,13 @@ _COMMANDS = {"forward": _cmd_forward, "inverse": _cmd_inverse, "diagram": _cmd_d
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # int() and str() refuse more than 4300 digits by default (Python 3.10.7
+    # on); answers are exact at any size, so main lifts the limit while it runs
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
@@ -164,6 +168,9 @@ def main(argv=None) -> int:
         # exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -159,30 +159,17 @@ def _row_compositions(length: int, total: int, lo: int, hi: int) -> Iterator[tup
         start += 1
 
 
-def _state_count(alpha: Partition, nu, window: int) -> int:
-    """Number of in-window fillings; raises past STATE_LIMIT."""
+def _checked_search(alpha, nu, window: int) -> tuple[Partition, tuple[int, ...], int]:
+    """The validated input of a search, refused past STATE_LIMIT in-window
+    fillings; the message holds no caller integer, which str() may refuse."""
+    alpha, nu = validate_omega_pair(alpha, nu)
+    window = _check_bound("window", window)
     states = 1
     for length, total in zip(alpha.parts, nu):
-        lo, hi = _row_window(length, total, window)
-        states *= _composition_count(length, total, lo, hi)
+        states *= _composition_count(length, total, *_row_window(length, total, window))
         if states > STATE_LIMIT:
-            raise SearchSpaceError(
-                f"window {window} spans more than {STATE_LIMIT} fillings "
-                f"(at least {_count_text(states)} states)"
-            )
-    return states
-
-
-def _count_text(count: int) -> str:
-    # the count itself up to 20 digits, else its number of digits, found with
-    # integers only (str() of a count past 4300 digits raises ValueError):
-    # 1233 / 4096 < log10(2), so the first guess is at most the digit count
-    if count < 10**20:
-        return str(count)
-    digits = (count.bit_length() - 1) * 1233 // 4096 + 1
-    while 10**digits <= count:
-        digits += 1
-    return f"a {digits}-digit number of"
+            raise SearchSpaceError(f"the window spans more than {STATE_LIMIT} fillings")
+    return alpha, nu, window
 
 
 def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
@@ -190,9 +177,7 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
 
     Entries of row i stay within `window` of the balanced split of nu[i].
     """
-    alpha, nu = validate_omega_pair(alpha, nu)
-    window = _check_bound("window", window)
-    _state_count(alpha, nu, window)
+    alpha, nu, window = _checked_search(alpha, nu, window)
     # product reads each row's contents once, here, before the first filling
     return map(WeightDiagram._trusted, product(*(
         _row_compositions(length, total, *_row_window(length, total, window))
@@ -219,9 +204,7 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     (Cauchy-Schwarz).  A frame whose best option reaches the best norm found
     so far is popped; the minimum is that of the plain enumeration.
     """
-    alpha, nu = validate_omega_pair(alpha, nu)
-    window = _check_bound("window", window)
-    _state_count(alpha, nu, window)
+    alpha, nu, window = _checked_search(alpha, nu, window)
     lengths = alpha.parts
     heights = alpha.conjugate().parts
     windows = [_row_window(length, total, window) for length, total in zip(lengths, nu)]
@@ -303,9 +286,7 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     each entry by 2 more than the one above).  Each full diagram is then
     checked with `is_distinguished`.
     """
-    alpha, nu = validate_omega_pair(alpha, nu)
-    window = _check_bound("window", window)
-    _state_count(alpha, nu, window)
+    alpha, nu, window = _checked_search(alpha, nu, window)
     heights = alpha.conjugate().parts
     unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
     columns: list[list[int]] = [[] for _ in heights]  # entries placed, top down
@@ -347,9 +328,8 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
 
 @dataclass
 class CheckResult:
-    """Success count and the first counterexample (if any) for one named check."""
+    """Success count and the first counterexample (if any) for one check."""
 
-    name: str
     cases: int = 0
     first_failure: str | None = None
 
@@ -373,7 +353,7 @@ class SweepReport:
 
     def check(self, name: str) -> CheckResult:
         if name not in self.checks:
-            self.checks[name] = CheckResult(name)
+            self.checks[name] = CheckResult()
         return self.checks[name]
 
     @property

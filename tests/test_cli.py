@@ -147,6 +147,58 @@ def test_verify_json(capsys):
     assert payload["result"]["checks"]["roundtrip"]["first_failure"] is None
 
 
+def test_verify_reports_the_first_failure(capsys, monkeypatch):
+    # a wrong inverse for one input: the sweep names that input, and verify exits 1
+    target = lvbij.gamma_forward([1, 1], [0, 0])
+    inverse = lvbij.oracle.gamma_inverse
+    monkeypatch.setattr(lvbij.oracle, "gamma_inverse",
+                        lambda lam: inverse([5]) if lam == target else inverse(lam))
+    label = "alpha=[1, 1], nu=[0, 0]"
+    report = lvbij.roundtrip_sweep(2, 1)
+    assert report.checks["roundtrip"].first_failure == label
+    assert report.checks["kappa_recovery"].first_failure is None
+    text = report.format_text()
+    assert f"  roundtrip: FAIL ({label})" in text.splitlines()
+    assert text.endswith("FAILURES FOUND")
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--entry-bound", "1",
+                       "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["result"]["ok"] is False
+    assert payload["result"]["checks"]["roundtrip"]["first_failure"] == label
+
+
+def test_forward_check_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("lvbij.cli.gamma_via_diagrams", lambda alpha, nu: ())
+    code, out, err = run(capsys, "forward", "--alpha", "2,1", "--nu", "5,1", "--check")
+    assert code == 1
+    assert out == ""
+    assert "cross-check failed" in err
+
+
+def test_an_answer_of_more_than_4300_digits_is_printed(capsys):
+    # str() refuses more than 4300 digits by default (from Python 3.10.7 on):
+    # main lifts that limit while it runs and puts back the one it found
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    saved = get_limit()
+    set_limit(4300)
+    nines = "9" * 4300
+    argv = ("forward", "--alpha", "1,1", "--nu", f"{nines},{nines}")
+    answer = f"1{'0' * 4300},{'9' * 4299}8"
+    try:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip() == answer
+        assert get_limit() == 4300
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert f'"result": [{answer.replace(",", ", ")}]' in out
+        assert get_limit() == 4300
+    finally:
+        set_limit(saved)
+
+
 def test_negative_sweep_bounds_exit_2(capsys):
     for argv in (
         ("verify", "--entry-bound", "-1"),
@@ -209,6 +261,9 @@ def test_invalid_domain_input_exits_2(capsys):
     assert "error:" in err
     code, _, err = run(capsys, "inverse", "--lambda", "1,2")
     assert code == 2
+    code, _, err = run(capsys, "diagram", "--alpha", "2,1", "--nu", "1")
+    assert code == 2
+    assert "equal length" in err
 
 
 @pytest.mark.parametrize("command", ["forward", "inverse", "diagram", "verify", "enumerate"])

@@ -34,6 +34,13 @@ def test_row_survival_rejects_non_monotone_iota():
         row_survival([1, 2], (1, 2), [3, 4])
 
 
+def test_branch_plan_and_row_survival_refuse_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        branch_plan([2, 1], [1], -1)
+    with pytest.raises(ValueError, match="equal length"):
+        row_survival([2, 1], (1, 2), [3])
+
+
 def test_alg_W_golden_example():
     pair = alg_W([4, 3, 2, 1, 1], [15, 14, 9, 4, 4], -1)
     assert pair.left == WeightDiagram([[4, 5], [4, 5, 5], [4], [4, 4, 4, 3], [4]])
@@ -68,6 +75,8 @@ def test_alg_W_validation():
         alg_W([0, 1], [1, 1], -1)
     with pytest.raises(ValueError):
         alg_W([1], [1], 2)
+    with pytest.raises(ValueError, match="equal length"):
+        alg_W([2, 1], [1], -1)
 
 
 def run_lengths(iota):

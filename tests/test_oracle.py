@@ -101,9 +101,12 @@ def test_enumerate_fillings_of_a_long_row():
 
 
 def test_enumerate_fillings_search_space_guard():
-    # the guard runs when enumerate_fillings is called, before any filling is asked for
+    # the guard runs when enumerate_fillings is called, before any filling is
+    # asked for, and refuses a window of more digits than str() converts too
     with pytest.raises(SearchSpaceError):
         enumerate_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
+    with pytest.raises(SearchSpaceError):
+        enumerate_fillings([9, 9, 9, 9], [0, 0, 0, 0], 10**5000)
 
 
 def test_min_norm_examples():
@@ -246,15 +249,17 @@ def test_distinguished_fillings_of_a_long_column():
 
 def test_pruned_searches_keep_the_search_space_guard():
     # the second input's count is about 5e18 fillings: the guard must refuse it
-    # without counting them one window step at a time.  The third's has 1850
-    # digits and the fourth's 6029, past what str() converts: the message
-    # gives such a count by its number of digits
+    # without counting them one window step at a time.  The third's count has
+    # 1850 digits, the fourth's 6029 and the last window 5001, past what str()
+    # converts: the message names only the limit
     for alpha, nu, window in (([9, 9, 9, 9], [0, 0, 0, 0], 40), ([4], [0], 10**6),
-                              ([200], [0], 10**9), ([200], [0], 10**30)):
+                              ([200], [0], 10**9), ([200], [0], 10**30),
+                              ([9, 9, 9, 9], [0, 0, 0, 0], 10**5000)):
         for search in (min_norm_over_fillings, distinguished_fillings):
             with pytest.raises(SearchSpaceError) as refused:
                 search(alpha, nu, window)
             assert len(str(refused.value)) < 120
+            assert str(refused.value) == "the window spans more than 100000000 fillings"
 
 
 def test_distinguished_fillings_golden():

@@ -48,6 +48,8 @@ def test_candidate_validation():
         candidate(-1, [2, 1], [5, 1], 1, [2], [2])
     with pytest.raises(ValueError):
         candidate(0, [2, 1], [5, 1], 1, [], [2])
+    with pytest.raises(ValueError, match="equal length"):
+        candidate(-1, [2, 1], [5], 1, [], [2])
 
 
 def test_ranking_examples():
@@ -65,6 +67,13 @@ def test_column_seq_examples():
 def test_column_seq_invalid_permutation():
     with pytest.raises(ValueError):
         column_seq(-1, [2, 1], [5, 1], (1, 3))
+
+
+def test_ranking_and_column_seq_refuse_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        ranking(-1, [2, 1], [5])
+    with pytest.raises(ValueError, match="equal length"):
+        column_seq(-1, [2, 1], [5], (1, 2))
 
 
 def naive_ranking(eps, alpha, nu):

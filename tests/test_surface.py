@@ -87,6 +87,15 @@ def test_inverse_algorithm_does_not_import_seq_algorithm():
         assert imported and not any(name and "seq_algorithm" in name for name in imported), module
 
 
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: feature_version makes
+    # the parser refuse later grammar, such as except* (3.11)
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_readme_library_example():
     # the block between the ```python fences of the Library section; running
     # README.md itself through doctest would read the closing fence as output
