@@ -7,6 +7,7 @@ module live here too, as the `_check_*` helpers that public functions call.
 """
 
 import operator
+import sys
 from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,17 +31,30 @@ def _check_int(value) -> int:
     return operator.index(value)
 
 
+def _shown(value) -> str:
+    # an int, or a sequence of them, as a refusal message shows it; str()
+    # refuses an int of more digits than sys.get_int_max_str_digits(), so
+    # such an int is shown by its bit length (at most 3 * limit bits always
+    # means at most limit digits, since 8**limit < 10**limit)
+    if not isinstance(value, int):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+        return f"<{value.bit_length()}-bit {'negative ' if value < 0 else ''}integer>"
+    return str(value)
+
+
 def _check_bound(name: str, value, least: int = 0) -> int:
     value = _check_int(value)
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_shown(value)}")
     return value
 
 
 def _check_eps(eps) -> int:
     eps = _check_int(eps)
     if eps not in (-1, 1):
-        raise ValueError(f"eps must be -1 or 1, got {eps!r}")
+        raise ValueError(f"eps must be -1 or 1, got {_shown(eps)}")
     return eps
 
 
@@ -64,14 +78,14 @@ def _check_rows(alpha, nu) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(alpha) != len(nu):
         raise ValueError(f"alpha and nu must have equal length, got {len(alpha)} and {len(nu)}")
     if min(alpha) < 1:
-        raise ValueError(f"row lengths must be positive, got {list(alpha)}")
+        raise ValueError(f"row lengths must be positive, got {_shown(alpha)}")
     return alpha, nu
 
 
 def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
     sigma = _int_tuple(sigma)
     if sorted(sigma) != list(range(1, ell + 1)):
-        raise ValueError(f"not a permutation of 1..{ell}: {list(sigma)}")
+        raise ValueError(f"not a permutation of 1..{ell}: {_shown(sigma)}")
     return sigma
 
 
@@ -137,9 +151,9 @@ class Partition:
             raise ValueError("a partition must have at least one part")
         for i, p in enumerate(parts):
             if p < 1:
-                raise ValueError(f"partition parts must be positive, got {p}")
+                raise ValueError(f"partition parts must be positive, got {_shown(p)}")
             if i > 0 and parts[i - 1] < p:
-                raise ValueError(f"partition parts must be weakly decreasing, got {list(parts)}")
+                raise ValueError(f"partition parts must be weakly decreasing, got {_shown(parts)}")
         self.parts = parts
 
     @classmethod
@@ -215,7 +229,7 @@ def validate_omega_pair(alpha, nu) -> OmegaPair:
     alpha = _as_partition(alpha)
     nu = _int_tuple(nu)
     if not _is_dominant(nu, alpha):
-        raise ValueError(f"nu={list(nu)} is not dominant with respect to alpha={list(alpha.parts)}")
+        raise ValueError(f"nu={_shown(nu)} is not dominant with respect to alpha={_shown(alpha)}")
     return OmegaPair(alpha, nu)
 
 

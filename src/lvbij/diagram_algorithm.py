@@ -50,6 +50,7 @@ from .core import (
     _inverse_permutation,
     _length_counts,
     _min_overlaps,
+    _shown,
 )
 from .diagrams import DiagramPair, WeightDiagram, _shifted_rows, eta
 from .seq_algorithm import _rank_and_fill
@@ -72,7 +73,7 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     """
     alpha, iota = _check_rows(alpha, iota)
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
-        raise ValueError(f"iota must be weakly decreasing, got {list(iota)}")
+        raise ValueError(f"iota must be weakly decreasing, got {_shown(iota)}")
     inv = _inverse_permutation(_check_permutation(sigma, len(alpha)))
     out = []
     branch = pos = 0

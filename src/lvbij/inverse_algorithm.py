@@ -35,7 +35,7 @@ periods, whatever their number.  Inputs are checked once, by
 
 from itertools import chain, groupby, repeat
 
-from .core import OmegaPair, _check_eps, _int_tuple
+from .core import OmegaPair, _check_eps, _int_tuple, _shown
 from .diagrams import WeightDiagram, _preimage_readout
 
 __all__ = [
@@ -62,7 +62,7 @@ def _dominant_runs(lam) -> list[list[int]]:
     last = lam[0]
     for v, run in groupby(lam):
         if v > last:
-            raise ValueError(f"the input weight must be weakly decreasing, got {list(lam)}")
+            raise ValueError(f"the input weight must be weakly decreasing, got {_shown(lam)}")
         last = v
         runs.append([v, len(list(run))])
     return runs
@@ -132,8 +132,8 @@ def _alg_B(runs: list[list[int]], eps: int) -> list[list[int]]:
                 hit = value in targets
                 if hit == (value + eps in targets):
                     raise InternalConsistencyError(
-                        f"entry {value} has {2 if hit else 0} free attachment targets "
-                        f"in {sorted(targets, reverse=True)}")
+                        f"entry {_shown(value)} has {2 if hit else 0} free attachment targets "
+                        f"in {_shown(sorted(targets, reverse=True))}")
                 row = targets.pop(value if hit else value + eps)
             row.append(value)
             placed[value] = row

@@ -21,10 +21,38 @@ rows ranked so far, so a stage groups its rows by length and ranks and fills
 them in one pass that compares only the heads of the length classes: O(l*d)
 per stage for l rows of d distinct lengths.  The public functions check
 their input with the helpers of `core`, and the kernels trust it.
+
+The pass keys a class by its head's entry.  Write v = -eps * nu, so that
+both modes maximize.  After t picks, let the head j of the class of length a
+have the numerator v_j + T_a - 2*C_a, where T_a is its overlap with all
+other rows and C_a = S + a*(t - N) its overlap with the picked rows, S and N
+being the total length and the count of the picked rows shorter than a.
+That is `column_seq`'s numerator for eps = -1, and minus it for eps = +1,
+whose picked rows come after the row.  With c the ceiling of the numerator
+over a, the row's entry before the clamp is -eps*E with E = c + 2t + 1 - l.
+Since T_a - (l - 1)*a is minus the sum of a - L over the rows of length
+L < a, E = ceil(y/a) with
+
+    y = v_j + (sum of a - L over the picked rows of length L < a)
+            - (sum of a - L over the other rows of length L < a).
+
+E differs from c by 2t + 1 - l, the same for every class, so a pick, which
+maximizes (c, length), takes the class of the largest E, the longer one on
+a tie.  A pick of length b moves y by 2*(a - b) on every class longer than
+b, leaves it on the shorter ones, and moves the picked class's y by the
+change of its head.  So each pick recomputes E only on the classes longer
+than the last pick and reads the stored E of the others.
+
+Once one class is left, only its head moves its y, so it takes its rows in
+queue order, and row j gets E = ceil((v_j + y')/a), where y' is y less the
+head's v.  Its entries are read off in one step, with no scan.  In pick
+order the clamp is the running minimum of E for both modes: for eps = +1 the
+entries are -E and are clamped from the back by the running maximum.
 """
 
 from collections.abc import Iterator
 from itertools import accumulate, chain, groupby
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -42,6 +70,7 @@ from .core import (
     _inverse_permutation,
     _length_counts,
     _min_overlaps,
+    _shown,
 )
 
 __all__ = [
@@ -67,7 +96,7 @@ def candidate(eps: int, alpha: Sequence[int], nu: Sequence[int], i: int,
     ell = len(alpha)
     i = _check_int(i)
     if not 1 <= i <= ell:
-        raise ValueError(f"row index {i} out of range 1..{ell}")
+        raise ValueError(f"row index {_shown(i)} out of range 1..{ell}")
     Ia = frozenset(_check_int(j) for j in Ia)
     Ib = frozenset(_check_int(j) for j in Ib)
     if Ia & Ib or (Ia | Ib) != frozenset(range(1, ell + 1)) - {i}:
@@ -87,7 +116,8 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
     lexicographically; for eps = +1 back to front, to the numerically largest
     row minimizing (candidate, -length, entry).  Rows of equal length are
     picked in the order of their entries, so each pick compares only the
-    heads of the d length classes: O(l*d) for l rows.
+    heads of the d length classes, and rekeys only the classes longer than
+    the last pick: O(l*d) for l rows.
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
@@ -97,56 +127,70 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
                    ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     # One pass computes ranking's sigma, column_seq's iota for that sigma and
-    # the row at each position.  Rows of length a share the overlap total T_a
-    # with all other rows and the overlap C_a with the rows already picked, so
-    # a class is a queue ordered by its entries, by (-nu, index) for eps = -1
-    # and by (nu, -index) for eps = +1, and each pick compares the d heads.
-    # With v = -eps * nu and slack = T_a - 2 C_a, both modes maximize
-    # (ceil((v + slack) / a), a, v); class keys differ in a, so they never
-    # tie.  The row's candidate is -eps times the first component: for
-    # eps = +1 the picked rows are the ones after the row, and
-    # T_a - 2 * before = 2 * after - T_a, column_seq's numerator.  A pick of
-    # length b lowers every slack by 2 * min(a, b); the next pick's scan
-    # applies that as it reads the slack, so each pick is one loop.
+    # the row at each position, with the keys E of the module docstring.  A
+    # class is [a, y, E, queue]: its queue holds its rows ordered by their
+    # entries, by (-nu, index) for eps = -1 and by (nu, -index) for eps = +1,
+    # head last for pop(), and y and E = ceil(y / a) are its head's.
     ell = len(alpha)
     v_of = nu if eps == -1 else [-x for x in nu]
     # ordered by (length, v, eps * index), the rows lay the classes out in
-    # increasing length, each queue's head last, for pop() (two stable sorts,
-    # the first over the indices in eps * index order); one sweep over the
-    # classes then gives T_a = low + a * (high - 1), with low the total
-    # length of the shorter rows and high the number of rows of length >= a
+    # increasing length (two stable sorts, the first over the indices in
+    # eps * index order); one sweep over the classes then gives each head's
+    # y = v - (sum over the shorter rows of a - length) = v + low - a * short,
+    # with low the total length and short the number of the shorter rows
     order = sorted(range(ell)[::eps], key=v_of.__getitem__)
     order.sort(key=alpha.__getitem__)
     live = []
-    low, high = 0, ell
+    low = short = 0
     for a, queue in groupby(order, key=alpha.__getitem__):
         queue = list(queue)
-        live.append([a, low + a * (high - 1), queue])
-        low, high = low + a * len(queue), high - len(queue)
-    sigma, iota, at = [0] * ell, [0] * ell, [0] * ell  # at[p - 1]: the row at position p
-    bound = None  # running min (eps = -1) or max (eps = +1) of the raw entries
-    b = 0  # length of the previous pick; 0 lowers nothing
-    for step in range(ell):
-        best = None
+        y = v_of[queue[-1]] + low - a * short
+        live.append([a, y, -(-y // a), queue])
+        low, short = low + a * len(queue), short + len(queue)
+    at, keys = [], []  # the rows and their E, in pick order
+    b = live[-1][0]  # the length of the last pick; the longest moves no class
+    while len(live) > 1:
+        best_e = None
         for cls in live:
             a = cls[0]
-            slack = cls[1] = cls[1] - 2 * (a if a < b else b)
-            c = -(-(v_of[cls[2][-1]] + slack) // a)
-            if best is None or c > best_c or c == best_c and a > best_a:
-                best, best_c, best_a = cls, c, a
-        b = best_a
-        queue = best[2]
+            if a > b:
+                y = cls[1] = cls[1] + 2 * (a - b)
+                e = cls[2] = -(-y // a)
+            else:
+                e = cls[2]
+            if best_e is None or e >= best_e:  # ties go to the longer class
+                best, best_e = cls, e
+        b, _, _, queue = best
         j = queue.pop()
-        if not queue:
+        if queue:
+            y = best[1] = best[1] + v_of[queue[-1]] - v_of[j]
+            best[2] = -(-y // b)
+        else:
             live.remove(best)
-        p = step + 1 if eps == -1 else ell - step
-        raw = -eps * best_c + 2 * p - ell - 1
-        if bound is not None:
-            raw = min(raw, bound) if eps == -1 else max(raw, bound)
-        bound = iota[p - 1] = raw
+        at.append(j)
+        keys.append(best_e)
+    # the last class takes its rows in queue order, row j with E =
+    # ceil((v_j + y') / a), where y' = y - v_head once the last pick has moved y
+    (a, y, _, queue), = live
+    if a > b:
+        y += 2 * (a - b)
+    shift = v_of[queue[-1]] - y  # -y'
+    queue.reverse()
+    at += queue
+    for j in queue:
+        keys.append(-((shift - v_of[j]) // a))
+    # the clamp is the running min of E in pick order, and positions run
+    # back to front for eps = +1, whose entries are -E
+    keys = accumulate(keys, min)
+    if eps == -1:
+        iota = tuple(keys)
+    else:
+        at.reverse()
+        iota = tuple(map(neg, keys))[::-1]
+    sigma = [0] * ell
+    for p, j in enumerate(at, start=1):
         sigma[j] = p
-        at[p - 1] = j
-    return tuple(sigma), tuple(iota), at
+    return tuple(sigma), iota, at
 
 
 def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],

@@ -8,6 +8,8 @@ input when it is called, not at the first item: the `on_call` cases do not
 iterate.
 """
 
+import sys
+
 import pytest
 
 from lvbij import (
@@ -153,3 +155,49 @@ def test_integer_parameter_refuses_bool_float_and_out_of_range(call, valid, out_
     if out_of_range is not None:
         with pytest.raises(ValueError):
             call(out_of_range)
+
+
+HUGE = 10**5000  # past the 4300 digits str() allows by default
+
+# (id, call, a pattern of the function's own refusal)
+HUGE_CASES = [
+    ("gamma_inverse", lambda: gamma_inverse([5, HUGE]), r"weakly decreasing, got \[5, <16610-bit integer>\]"),
+    ("Partition.order", lambda: Partition([1, HUGE]), r"weakly decreasing, got \[1, <16610-bit integer>\]"),
+    ("Partition.sign", lambda: Partition([-HUGE]), r"positive, got <16610-bit negative integer>"),
+    ("validate_omega_pair", lambda: validate_omega_pair([2, 2], [0, HUGE]),
+     r"nu=\[0, <16610-bit integer>\] is not dominant with respect to alpha=\[2, 2\]"),
+    ("alg_W", lambda: alg_W([0, HUGE], [1, 1]), r"row lengths must be positive, got \[0, <16610-bit integer>\]"),
+    ("row_survival", lambda: row_survival([2, 1], [1, 2], [0, HUGE]),
+     r"iota must be weakly decreasing, got \[0, <16610-bit integer>\]"),
+    ("column_seq.sigma", lambda: column_seq(-1, [2, 1], [3, 1], [1, HUGE]),
+     r"not a permutation of 1..2: \[1, <16610-bit integer>\]"),
+    ("ranking.eps", lambda: ranking(HUGE, [2, 1], [3, 1]), r"eps must be -1 or 1, got <16610-bit integer>"),
+    ("candidate.i", lambda: candidate(-1, [2, 1], [3, 1], HUGE, [], [2]), r"row index <16610-bit integer> out of range"),
+    ("enumerate_fillings.window", lambda: enumerate_fillings([2], [7], -HUGE),
+     r"window must be >= 0, got <16610-bit negative integer>"),
+]
+
+
+@pytest.fixture
+def default_digit_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no limit on integer string conversion")
+    saved = get_limit()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in HUGE_CASES],
+                         ids=[case[0] for case in HUGE_CASES])
+def test_refusal_names_an_entry_past_the_digit_limit(default_digit_limit, call, message):
+    # the refusal is the function's own, not str()'s "Exceeds the limit"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_an_entry_at_the_digit_limit_is_shown_in_full(default_digit_limit):
+    nines = 10**4300 - 1
+    with pytest.raises(ValueError, match=f"got \\[1, {nines}\\]"):
+        Partition([1, nines])

@@ -169,11 +169,9 @@ def test_pruned_searches_match_unpruned_search():
     for alpha, nu in omega_pairs(4, 2):
         window = default_window(alpha)
         for w in (0, 1, window, window + 2):
-            if not list(enumerate_fillings(alpha, nu, w)):
-                with pytest.raises(SearchSpaceError):
-                    min_norm_over_fillings(alpha, nu, w)
-                assert distinguished_fillings(alpha, nu, w) == []
-                continue
+            # every window holds the floor and ceiling of each row's
+            # total/length, so the balanced filling, and no window is empty
+            assert next(enumerate_fillings(alpha, nu, w), None) is not None
             assert min_norm_over_fillings(alpha, nu, w) == naive_min_norm(alpha, nu, w)
             assert distinguished_fillings(alpha, nu, w) == naive_distinguished(alpha, nu, w)
 

@@ -129,6 +129,15 @@ def naive_column_seq(eps, alpha, nu, sigma):
     return tuple(iota)
 
 
+def assert_kernel_matches_naive(eps, alpha, nu):
+    sigma = ranking(eps, alpha, nu)
+    assert sigma == naive_ranking(eps, alpha, nu), (eps, alpha, nu)
+    iota = naive_column_seq(eps, alpha, nu, sigma)
+    assert column_seq(eps, alpha, nu, sigma) == iota, (eps, alpha, nu)
+    assert branch_plan(alpha, nu, eps).iota == iota, (eps, alpha, nu)
+    return sigma, iota
+
+
 def test_ranking_and_column_seq_match_naive_transcription():
     rng = random.Random(7)
     for _ in range(250):
@@ -136,10 +145,7 @@ def test_ranking_and_column_seq_match_naive_transcription():
         alpha = [rng.randint(1, 4) for _ in range(ell)]
         nu = [rng.randint(-6, 6) for _ in range(ell)]
         for eps in (-1, 1):
-            sigma = ranking(eps, alpha, nu)
-            assert sigma == naive_ranking(eps, alpha, nu)
-            assert column_seq(eps, alpha, nu, sigma) == naive_column_seq(eps, alpha, nu, sigma)
-            assert branch_plan(alpha, nu, eps).iota == naive_column_seq(eps, alpha, nu, sigma)
+            assert_kernel_matches_naive(eps, alpha, nu)
 
 
 def test_many_rows_of_few_lengths_match_naive_transcription():
@@ -159,6 +165,108 @@ def test_many_rows_of_few_lengths_match_naive_transcription():
             for perm in (sigma, tuple(shuffled)):
                 assert column_seq(eps, alpha, nu, perm) == naive_column_seq(eps, alpha, nu, perm)
             assert branch_plan(alpha, nu, eps).iota == naive_column_seq(eps, alpha, nu, sigma)
+
+
+def pick_order(eps, sigma):
+    # rows (1-based) in the order they are picked: front to back for eps = -1,
+    # back to front for eps = +1
+    inv = [0] * len(sigma)
+    for i, p in enumerate(sigma, start=1):
+        inv[p - 1] = i
+    return inv if eps == -1 else inv[::-1]
+
+
+def tail_clamps(eps, alpha, nu, sigma, iota):
+    # how many rows of the last class get a clamped entry rather than their
+    # candidate + 2p - ell - 1; that class is the run of one length that ends
+    # the pick order, since the pick before it used up the last other class
+    ell = len(alpha)
+    rows = pick_order(eps, sigma)
+    start = ell - 1
+    while start and alpha[rows[start - 1] - 1] == alpha[rows[-1] - 1]:
+        start -= 1
+    inv = pick_order(-1, sigma)
+    clamped = 0
+    for j in rows[start:]:
+        p = sigma[j - 1]
+        c = candidate(eps, alpha, nu, j, inv[: p - 1], inv[p:])
+        clamped += iota[p - 1] != c + 2 * p - ell - 1
+    return clamped
+
+
+def ties_across_lengths(eps, alpha, nu, sigma):
+    # how many picks find the best candidate on rows of two or more lengths
+    ell = len(alpha)
+    picked, ties = [], 0
+    for j in pick_order(eps, sigma):
+        rest = [k for k in range(1, ell + 1) if k not in picked]
+        cands = {}
+        for k in rest:
+            others = [x for x in rest if x != k]
+            before, after = (picked, others) if eps == -1 else (others, picked)
+            cands[k] = candidate(eps, alpha, nu, k, before, after)
+        best = max(cands.values()) if eps == -1 else min(cands.values())
+        ties += len({alpha[k - 1] for k in rest if cands[k] == best}) > 1
+        picked.append(j)
+    return ties
+
+
+def test_all_distinct_lengths_match_naive_transcription():
+    # one row per class, so every pick rekeys the classes longer than it and
+    # the last class is a single row
+    rng = random.Random(53)
+    for _ in range(30):
+        ell = rng.randint(8, 14)
+        alpha = rng.sample(range(1, 3 * ell), ell)
+        nu = [rng.randint(-4 * ell, 4 * ell) for _ in range(ell)]
+        for eps in (-1, 1):
+            assert_kernel_matches_naive(eps, alpha, nu)
+
+
+def test_long_last_class_whose_clamp_binds_matches_naive_transcription():
+    # k rows of length L with entries x or x - 1, and one row of length 1 with
+    # z = ceil((x - L + 1) / L) + 1.  The one-box row is picked first, with
+    # entry z, since the class's key is z - 1.  That pick moves the class's
+    # numerator by 2(L - 1), and with (x + 1) mod L = 0 or at least 3 that
+    # lifts its key by 2, past z: the clamp binds in the last class.  For
+    # eps = +1 the entries are negated.
+    rng = random.Random(43)
+    for _ in range(30):
+        L = rng.randint(3, 8)
+        k = rng.randint(6, 14)
+        x = rng.choice([q * L - 1 + r for q in range(-2, 3) for r in [0, *range(3, L)]])
+        z = -((L - 1 - x) // L) + 1
+        alpha = [L] * k + [1]
+        nu = sorted((x - rng.randint(0, 1) for _ in range(k)), reverse=True) + [z]
+        for eps in (-1, 1):
+            row_nu = nu if eps == -1 else [-v for v in nu]
+            sigma, iota = assert_kernel_matches_naive(eps, alpha, row_nu)
+            assert tail_clamps(eps, alpha, row_nu, sigma, iota) > 0, (eps, alpha, row_nu)
+    # and a last class of many rows drawn at random, after a few shorter rows
+    clamped = 0
+    for _ in range(30):
+        L = rng.randint(4, 8)
+        alpha = [L] * rng.randint(6, 12) + [rng.randint(1, L - 1) for _ in range(rng.randint(1, 3))]
+        nu = [rng.randint(-12, 4) for _ in range(len(alpha))]
+        for eps in (-1, 1):
+            sigma, iota = assert_kernel_matches_naive(eps, alpha, nu)
+            clamped += tail_clamps(eps, alpha, nu, sigma, iota)
+    assert clamped > 0
+
+
+def test_ties_across_lengths_match_naive_transcription():
+    # small entries over few short lengths make many picks tie on the
+    # candidate between rows of different lengths; the longer row wins
+    rng = random.Random(59)
+    ties = 0
+    for _ in range(60):
+        ell = rng.randint(4, 8)
+        alpha = [rng.randint(1, 4) for _ in range(ell)]
+        nu = [rng.randint(-3, 3) for _ in range(ell)]
+        for eps in (-1, 1):
+            sigma, _ = assert_kernel_matches_naive(eps, alpha, nu)
+            ties += ties_across_lengths(eps, alpha, nu, sigma)
+    assert ties >= 100
 
 
 def test_column_seq_weakly_decreasing():

@@ -21,14 +21,19 @@ only one eps branch shows up.
 
 No argument is written down for the duality and the two rounding modes:
 they are measured invariants, which held on every input below.
+
+Past the small bounds, seeded inputs of a few scale families check that the
+two forward maps agree, that the inverse undoes them and the twist, with no
+timing gate.
 """
 
+import random
 from collections import Counter
 from itertools import combinations_with_replacement, groupby
 
 import pytest
 
-from lvbij import alg_B, alg_W, gamma_forward, omega_pairs
+from lvbij import alg_B, alg_W, gamma_forward, gamma_inverse, gamma_via_diagrams, omega_pairs
 
 PAIRS = [(alpha.parts, nu) for alpha, nu in omega_pairs(6, 3)]
 # all weakly decreasing weights of length <= 6 with entries in [-4, 4]
@@ -77,3 +82,28 @@ def test_alg_B_rounding_modes_are_dual():
         up = alg_B(lam, 1).rows
         down = alg_B(tuple(-v for v in reversed(lam)), -1).rows
         assert Counter(up) == Counter(_negated(down)), lam
+
+
+def _few_sizes(rng):
+    # 100 rows, 25 each of four sizes drawn from 14..17, 10..13, 6..9, 2..5
+    return tuple(size for lo in (14, 10, 6, 2) for size in [rng.randint(lo, lo + 3)] * 25)
+
+
+def test_scale_families_agree_invert_and_twist():
+    # every stage ranks many classes on the staircase, one or two long
+    # classes on 1^2000, 2^1000 and 100^15, and four classes of 25 rows on
+    # the few-sizes family; nu is drawn dominant, per block of equal parts
+    rng = random.Random(67)
+    families = [tuple(range(50, 0, -1)), (1,) * 2000, (2,) * 1000, (100,) * 15,
+                _few_sizes(rng), _few_sizes(rng)]
+    for alpha in families:
+        nu = []
+        for _, block in groupby(alpha):
+            nu += sorted((rng.randint(-9, 9) for _ in block), reverse=True)
+        nu = tuple(nu)
+        lam = gamma_forward(alpha, nu)
+        assert gamma_via_diagrams(alpha, nu) == lam, alpha[:3]
+        assert gamma_inverse(lam) == (alpha, nu), alpha[:3]
+        for c in (1, -2):
+            twisted = tuple(v + c * a for v, a in zip(nu, alpha))
+            assert gamma_forward(alpha, twisted) == tuple(v + c for v in lam), (alpha[:3], c)
