@@ -48,11 +48,46 @@ queue order, and row j gets E = ceil((v_j + y')/a), where y' is y less the
 head's v.  Its entries are read off in one step, with no scan.  In pick
 order the clamp is the running minimum of E for both modes: for eps = +1 the
 entries are -E and are clamped from the back by the running maximum.
+
+One pick loop, `_pick`, takes its classes from one of two setups.  The rows
+of `ranking` and of Algorithm W's nodes come in any order, so
+`_rank_and_fill` sorts them by length and entry.  In Algorithm A alpha is
+weakly decreasing, so each length class is a run of consecutive indices, and
+the runs, read from the last one up, come in increasing length:
+`_run_classes` reads them off with no sort.  A queue orders its rows by
+(-nu, index), which is index order wherever nu is weakly decreasing along
+the run, as a dominant nu is; so the queue, head last, is the run reversed.
+
+The residual nu stays dominant, so every stage of `alg_A` takes that path.
+With eps = -1, y = nu_h + D for the head h of the class of length a:
+D depends on the picks made, not on which row is the head, and a pick of a
+shorter row of length L adds 2*(a - L) to it, so D never falls.  Let rows
+i < j of the class have nu_i >= nu_j, so that i is picked first, at t_i,
+and let d = nu_i - nu_j.  Every row k picked after i, up to j itself, has
+E_k >= ceil((nu_j + D(t_i))/a): a row of the class has nu_k >= nu_j, and a
+row of another class was picked over the class's head, whose nu_h >= nu_j.
+Since ceil((x + d)/a) <= ceil(x/a) + d, that bound is at least E_i - d.
+The entries are the running minimum of E in pick order, so the entries
+mu_i and mu_j that rows i and j receive have mu_j >= mu_i - d, that is
+nu_i - mu_i >= nu_j - mu_j: once every part has lost a box, the survivors
+of the run are again a run, and their residual is again weakly decreasing.
+(On 40 000 seeded dominant inputs, 359 191 runs of two or more rows were
+set up, and none was out of order.)
+
+`alg_A_stages` also accepts a nu that is not dominant.  So `_run_classes`
+checks each run of two or more rows for order, at C speed, and where the
+check fails it sorts the reversed run by nu.  The sort is stable, so equal
+entries keep the higher index first, and the head is the lowest index of the
+largest entry: the order of the sorting setup.  The classes and their keys
+are then that setup's, and the one pick loop gives the same table.  Sorting
+each block once at the boundary and mapping sigma back would not: residuals
+that become equal at a later stage would break their tie by the permuted
+index instead of the row index.
 """
 
 from collections.abc import Iterator
 from itertools import accumulate, chain, groupby
-from operator import neg
+from operator import ge, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -126,19 +161,12 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
 
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
                    ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
-    # One pass computes ranking's sigma, column_seq's iota for that sigma and
-    # the row at each position, with the keys E of the module docstring.  A
-    # class is [a, y, E, queue]: its queue holds its rows ordered by their
-    # entries, by (-nu, index) for eps = -1 and by (nu, -index) for eps = +1,
-    # head last for pop(), and y and E = ceil(y / a) are its head's.
-    ell = len(alpha)
+    # The sorting setup, for rows in any order (ranking and Algorithm W's
+    # nodes): ordered by (length, v, eps * index), the rows lay the classes
+    # out in increasing length (two stable sorts, the first over the indices
+    # in eps * index order)
     v_of = nu if eps == -1 else [-x for x in nu]
-    # ordered by (length, v, eps * index), the rows lay the classes out in
-    # increasing length (two stable sorts, the first over the indices in
-    # eps * index order); one sweep over the classes then gives each head's
-    # y = v - (sum over the shorter rows of a - length) = v + low - a * short,
-    # with low the total length and short the number of the shorter rows
-    order = sorted(range(ell)[::eps], key=v_of.__getitem__)
+    order = sorted(range(len(alpha))[::eps], key=v_of.__getitem__)
     order.sort(key=alpha.__getitem__)
     live = []
     low = short = 0
@@ -147,6 +175,44 @@ def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
         y = v_of[queue[-1]] + low - a * short
         live.append([a, y, -(-y // a), queue])
         low, short = low + a * len(queue), short + len(queue)
+    return _pick(eps, v_of, live)
+
+
+def _run_classes(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[list]:
+    # Algorithm A's setup, for weakly decreasing alpha (module docstring):
+    # each class is a run of equal parts, read from the last run, the
+    # shortest, up, and its queue is the run reversed, sorted by nu only when
+    # the run's nu is out of order
+    live = []
+    low = 0
+    end = ell = len(alpha)
+    while end:
+        start = end - 1
+        a = alpha[start]
+        if start and alpha[start - 1] == a:  # a run of two or more rows
+            start = alpha.index(a)
+            queue = list(range(end - 1, start - 1, -1))
+            if not all(map(ge, nu[start:end], nu[start + 1:end])):
+                queue.sort(key=nu.__getitem__)
+        else:
+            queue = [start]
+        y = nu[queue[-1]] + low - a * (ell - end)  # the rows past end are shorter
+        live.append([a, y, -(-y // a), queue])
+        low += a * (end - start)
+        end = start
+    return live
+
+
+def _pick(eps: int, v_of: Sequence[int], live: list[list]
+          ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    # The one pick loop: computes ranking's sigma, column_seq's iota for that
+    # sigma and the row at each position, with the keys E of the module
+    # docstring.  A class is [a, y, E, queue], in increasing length: its
+    # queue holds its rows ordered by their entries, by (-nu, index) for
+    # eps = -1 and by (nu, -index) for eps = +1, head last for pop(), and y
+    # and E = ceil(y / a) are its head's.  A setup starts y at v less the sum
+    # of a - L over the shorter rows, that is v + low - a * short, with low
+    # the total length and short the count of the shorter rows.
     at, keys = [], []  # the rows and their E, in pick order
     b = live[-1][0]  # the length of the last pick; the longest moves no class
     while len(live) > 1:
@@ -187,7 +253,7 @@ def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
     else:
         at.reverse()
         iota = tuple(map(neg, keys))[::-1]
-    sigma = [0] * ell
+    sigma = [0] * len(v_of)
     for p, j in enumerate(at, start=1):
         sigma[j] = p
     return tuple(sigma), iota, at
@@ -237,7 +303,7 @@ def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple[Stage
     # same block: count 1 while two or more rows are live, then the lone
     # row's balanced split (module docstring) in at most two batches
     while len(alpha) > 1:
-        sigma, mu, _ = _rank_and_fill(-1, alpha, nu)
+        sigma, mu, _ = _pick(-1, nu, _run_classes(alpha, nu))
         yield Stage(alpha, nu, sigma, mu), 1
         # alpha is weakly decreasing, so its rows of length 1 come last; they
         # drop out, each receiving exactly its nu entry, and the survivors

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import groupby
 
 import pytest
 
@@ -12,6 +13,7 @@ from lvbij import (
     dom,
     gamma_forward,
     gamma_via_diagrams,
+    is_dominant_wrt,
     norm_sq,
     omega_pairs,
     ranking,
@@ -385,6 +387,58 @@ def test_alg_A_stage_table_golden():
         ((2, 1), (6, 5), (2, 1), (5, 4)),
         ((1,), (2,), (1,), (2,)),
     ]
+
+
+def test_non_dominant_stage_table_breaks_ties_by_row_index():
+    # nu is out of order on the runs of 5s and 3s.  At the third stage rows 4
+    # and 6 of the run of 1s tie at -1 and are picked by row index; sorting
+    # each block of equal parts once at the start and mapping sigma back
+    # would pick row 6 first, giving sigma (4, 3, 1, 6, 2, 5) there
+    stages = alg_A_stages((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2))
+    assert [(s.alpha, s.nu, s.sigma, s.mu) for s in stages] == [
+        ((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2),
+         (6, 4, 2, 8, 3, 7, 1, 5, 9), (4, 0, 0, 0, 0, 0, 0, 0, -2)),
+        ((5, 4, 4, 2, 2, 2), (-2, 2, 6, -2, 1, -1), (4, 3, 2, 6, 1, 5), (1, 1, 0, 0, 0, -1)),
+        ((4, 3, 3, 1, 1, 1), (-2, 2, 5, -1, 0, -1), (4, 3, 1, 5, 2, 6), (0, 0, 0, 0, -1, -1)),
+        ((3, 2, 2), (-2, 2, 5), (3, 2, 1), (3, 1, 0)),
+        ((2, 1, 1), (-2, 1, 2), (3, 2, 1), (2, 1, 0)),
+        ((1,), (-2,), (1,), (-2,)),
+    ]
+
+
+def dominant_per_block(alpha, nu):
+    out = []
+    for _, block in groupby(range(len(alpha)), key=alpha.__getitem__):
+        out += sorted((nu[i] for i in block), reverse=True)
+    return tuple(out)
+
+
+def test_stage_tables_match_ranking_and_column_seq():
+    # alg_A_stages reads its classes off the runs of alpha, and ranking and
+    # column_seq sort their rows: the two setups must agree at every stage.
+    # Half the small inputs have nu out of order on some run; the staircase
+    # has one row per class, the few-sizes family four classes of 25 rows
+    rng = random.Random(73)
+    cases = []
+    for k in range(2000):
+        while True:
+            ell = rng.randint(1, 12)
+            alpha = tuple(sorted((rng.randint(1, 6) for _ in range(ell)), reverse=True))
+            nu = tuple(rng.randint(-9, 9) for _ in range(ell))
+            if k % 2:
+                cases.append((alpha, dominant_per_block(alpha, nu)))
+                break
+            if not is_dominant_wrt(nu, alpha):
+                cases.append((alpha, nu))
+                break
+    few = tuple(size for lo in (14, 10, 6, 2) for size in [rng.randint(lo, lo + 3)] * 25)
+    for alpha in (tuple(range(50, 0, -1)), few):
+        nu = tuple(rng.randint(-9, 9) for _ in alpha)
+        cases += [(alpha, dominant_per_block(alpha, nu)), (alpha, nu)]
+    for alpha, nu in cases:
+        for stage in alg_A_stages(alpha, nu):
+            assert stage.sigma == ranking(-1, stage.alpha, stage.nu), (alpha, nu)
+            assert stage.mu == column_seq(-1, stage.alpha, stage.nu, stage.sigma), (alpha, nu)
 
 
 def test_block_sum_conservation_and_block_monotonicity():

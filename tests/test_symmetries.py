@@ -90,13 +90,16 @@ def _few_sizes(rng):
 
 
 def test_scale_families_agree_invert_and_twist():
-    # every stage ranks many classes on the staircase, one or two long
-    # classes on 1^2000, 2^1000 and 100^15, and four classes of 25 rows on
-    # the few-sizes family; nu is drawn dominant, per block of equal parts
+    # every stage ranks many classes on the staircases, one or two long
+    # classes on 1^2000, 2^1000, 100^15, 1^100000 and 100^100, and four
+    # classes of 25 rows on the few-sizes family; nu is drawn dominant, per
+    # block of equal parts.  The twist, two more forward calls per input, is
+    # checked up to n = 2000.
     rng = random.Random(67)
     families = [tuple(range(50, 0, -1)), (1,) * 2000, (2,) * 1000, (100,) * 15,
                 _few_sizes(rng), _few_sizes(rng)]
-    for alpha in families:
+    large = [tuple(range(200, 0, -1)), (1,) * 100_000, (100,) * 100]
+    for alpha in families + large:
         nu = []
         for _, block in groupby(alpha):
             nu += sorted((rng.randint(-9, 9) for _ in block), reverse=True)
@@ -104,6 +107,8 @@ def test_scale_families_agree_invert_and_twist():
         lam = gamma_forward(alpha, nu)
         assert gamma_via_diagrams(alpha, nu) == lam, alpha[:3]
         assert gamma_inverse(lam) == (alpha, nu), alpha[:3]
+        if alpha in large:
+            continue
         for c in (1, -2):
             twisted = tuple(v + c * a for v, a in zip(nu, alpha))
             assert gamma_forward(alpha, twisted) == tuple(v + c for v in lam), (alpha[:3], c)
