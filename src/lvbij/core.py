@@ -89,11 +89,11 @@ def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
     return sigma
 
 
-def _inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    # one-line notation, 1-based values
-    inv = [0] * len(sigma)
-    for i, p in enumerate(sigma, start=1):
-        inv[p - 1] = i
+def _inverse_permutation(perm: Sequence[int], start: int = 1) -> tuple[int, ...]:
+    # one-line notation: perm's values count from start, the inverse's from 1
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm, start=1):
+        inv[p - start] = i
     return tuple(inv)
 
 

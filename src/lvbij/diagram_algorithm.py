@@ -103,20 +103,21 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
     # the node's rows of Y are its own positions here, so Y is thrown away
-    sigma, iota, fed = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
-    return BranchPlan(sigma, iota, tuple(tuple(p + 1 for p in rows) for _, _, rows in fed),
+    iota, at, fed = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
+    return BranchPlan(_inverse_permutation(at, 0), iota,
+                      tuple(tuple(p + 1 for p in rows) for _, _, rows in fed),
                       tuple(tuple(a) for a, _, _ in fed), tuple(tuple(v) for _, v, _ in fed))
 
 
 def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int],
-          y_rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...], list]:
+          y_rows: list[list[int]]) -> tuple[tuple[int, ...], list[int], list]:
     # One node of Algorithm W: rank and fill the first column, append it to
     # the node's rows of Y (row p of ell gets its entry plus ell - 2p - 1),
     # and cut the surviving rows into runs of equal iota, one fed branch each
-    # (module docstring).  Returns sigma, iota and, per fed branch, its rows'
-    # lengths, corrected nu and rows of Y, in position order.
+    # (module docstring).  Returns iota, the pick order and, per fed branch,
+    # its rows' lengths, corrected nu and rows of Y, in position order.
     ell = len(alpha)
-    sigma, iota, at = _rank_and_fill(eps, alpha, nu)
+    iota, at = _rank_and_fill(eps, alpha, nu)
     branches = []
     last = None
     for p, (j, r) in enumerate(zip(at, rows)):
@@ -145,7 +146,7 @@ def _node(alpha: Sequence[int], nu: Sequence[int], eps: int, rows: Sequence[int]
             sub_nu[:] = [v + shift[a] for a, v in zip(sub_alpha, sub_nu)]
             for b, c in own.items():
                 before[b] += c
-    return sigma, iota, branches
+    return iota, at, branches
 
 
 def _alternating_split(a: int, n: int, eps: int) -> list[int]:

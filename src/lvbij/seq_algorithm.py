@@ -49,7 +49,9 @@ head's v.  Its entries are read off in one step, with no scan.  In pick
 order the clamp is the running minimum of E for both modes: for eps = +1 the
 entries are -E and are clamped from the back by the running maximum.
 
-One pick loop, `_pick`, takes its classes from one of two setups.  The rows
+One pick loop, `_pick`, takes its classes from one of two setups and hands on
+the ranking as its pick order, the row at each position; only `ranking`,
+`branch_plan` and `alg_A_stages` show sigma, its inverse.  The rows
 of `ranking` and of Algorithm W's nodes come in any order, so
 `_rank_and_fill` sorts them by length and entry.  In Algorithm A alpha is
 weakly decreasing, so each length class is a run of consecutive indices, and
@@ -156,11 +158,11 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    return _rank_and_fill(eps, alpha, nu)[0]
+    return _inverse_permutation(_rank_and_fill(eps, alpha, nu)[1], 0)
 
 
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
-                   ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+                   ) -> tuple[tuple[int, ...], list[int]]:
     # The sorting setup, for rows in any order (ranking and Algorithm W's
     # nodes): ordered by (length, v, eps * index), the rows lay the classes
     # out in increasing length (two stable sorts, the first over the indices
@@ -204,11 +206,11 @@ def _run_classes(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[list]:
 
 
 def _pick(eps: int, v_of: Sequence[int], live: list[list]
-          ) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
-    # The one pick loop: computes ranking's sigma, column_seq's iota for that
-    # sigma and the row at each position, with the keys E of the module
-    # docstring.  A class is [a, y, E, queue], in increasing length: its
-    # queue holds its rows ordered by their entries, by (-nu, index) for
+          ) -> tuple[tuple[int, ...], list[int]]:
+    # The one pick loop: computes the ranking as its pick order at, the row at
+    # each position, and column_seq's iota for it, with the keys E of the
+    # module docstring.  A class is [a, y, E, queue], in increasing length:
+    # its queue holds its rows ordered by their entries, by (-nu, index) for
     # eps = -1 and by (nu, -index) for eps = +1, head last for pop(), and y
     # and E = ceil(y / a) are its head's.  A setup starts y at v less the sum
     # of a - L over the shorter rows, that is v + low - a * short, with low
@@ -253,10 +255,7 @@ def _pick(eps: int, v_of: Sequence[int], live: list[list]
     else:
         at.reverse()
         iota = tuple(map(neg, keys))[::-1]
-    sigma = [0] * len(v_of)
-    for p, j in enumerate(at, start=1):
-        sigma[j] = p
-    return tuple(sigma), iota, at
+    return iota, at
 
 
 def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
@@ -298,33 +297,33 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple[Stage, int]]:
-    # Yields (stage, count) batches, each standing for count stages with the
-    # same block: count 1 while two or more rows are live, then the lone
-    # row's balanced split (module docstring) in at most two batches
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple]:
+    # Yields (alpha, nu, at, mu, count) batches, each standing for count stages
+    # with the same block: count 1 while two or more rows are live, then the
+    # lone row's balanced split (module docstring) in at most two batches
     while len(alpha) > 1:
-        sigma, mu, _ = _pick(-1, nu, _run_classes(alpha, nu))
-        yield Stage(alpha, nu, sigma, mu), 1
-        # alpha is weakly decreasing, so its rows of length 1 come last; they
-        # drop out, each receiving exactly its nu entry, and the survivors
-        # lose a box and the block entry they were assigned
+        mu, at = _pick(-1, nu, _run_classes(alpha, nu))
+        yield alpha, nu, at, mu, 1
+        # each row loses its block entry; alpha is weakly decreasing, so its
+        # rows of length 1 come last, and they drop out with residual 0
+        left = list(nu)
+        for j, m in zip(at, mu):
+            left[j] -= m
         ell2 = len(alpha) - alpha.count(1)
-        if __debug__:
-            for i in range(ell2, len(alpha)):
-                assert mu[sigma[i] - 1] == nu[i], "a dropped row must receive exactly its entry"
+        assert not any(left[ell2:]), "a dropped row must receive exactly its entry"
         if not ell2:
             return
-        nu = tuple(nu[i] - mu[sigma[i] - 1] for i in range(ell2))
+        nu = tuple(left[:ell2])
         alpha = tuple(a - 1 for a in alpha[:ell2])
     (a,), (n,) = alpha, nu
     q, r = divmod(n, a)
     if r:
-        yield Stage(alpha, nu, (1,), (q + 1,)), r
-    yield Stage((a - r,), (q * (a - r),), (1,), (q,)), a - r
+        yield alpha, nu, [0], (q + 1,), r
+    yield (a - r,), (q * (a - r),), [0], (q,), a - r
 
 
 def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(stage.mu * count for stage, count in _stages(alpha, nu)))
+    return tuple(chain.from_iterable(mu * count for _, _, _, mu, count in _stages(alpha, nu)))
 
 
 def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
@@ -336,13 +335,13 @@ def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
     nu = _int_tuple(nu)
     _check_length("nu", nu, alpha.ell)
     out = []
-    for stage, count in _stages(alpha.parts, nu):
-        out.append(stage)
+    for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu):
+        sigma = _inverse_permutation(at, 0) if len(at) > 1 else (1,)  # a lone row ranks nothing
+        out.append(Stage(stage_alpha, stage_nu, sigma, mu))
         if count > 1:
-            # a lone row's batch: each later stage has one box less and has
-            # given one more block entry away
-            (a,), (n,), (m,) = stage.alpha, stage.nu, stage.mu
-            out += (stage._replace(alpha=(a - k,), nu=(n - k * m,)) for k in range(1, count))
+            # a lone row's batch: each later stage has one box and m of nu less
+            (a,), (n,), (m,) = stage_alpha, stage_nu, mu
+            out += (Stage((a - k,), (n - k * m,), (1,), mu) for k in range(1, count))
     return tuple(out)
 
 

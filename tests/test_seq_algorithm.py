@@ -136,7 +136,8 @@ def assert_kernel_matches_naive(eps, alpha, nu):
     assert sigma == naive_ranking(eps, alpha, nu), (eps, alpha, nu)
     iota = naive_column_seq(eps, alpha, nu, sigma)
     assert column_seq(eps, alpha, nu, sigma) == iota, (eps, alpha, nu)
-    assert branch_plan(alpha, nu, eps).iota == iota, (eps, alpha, nu)
+    plan = branch_plan(alpha, nu, eps)
+    assert (plan.sigma, plan.iota) == (sigma, iota), (eps, alpha, nu)
     return sigma, iota
 
 

@@ -22,9 +22,10 @@ only one eps branch shows up.
 No argument is written down for the duality and the two rounding modes:
 they are measured invariants, which held on every input below.
 
-Past the small bounds, seeded inputs of a few scale families check that the
-two forward maps agree, that the inverse undoes them and the twist, with no
-timing gate.
+Past the small bounds, seeded inputs of a few scale families check, with no
+timing gate, that the two forward maps agree and that the inverse undoes
+them.  Up to n = 2000 they also check the twist, that alg_W's left diagram
+is distinguished and recovers nu, and that alg_B gives its right diagram.
 """
 
 import random
@@ -33,7 +34,16 @@ from itertools import combinations_with_replacement, groupby
 
 import pytest
 
-from lvbij import alg_B, alg_W, gamma_forward, gamma_inverse, gamma_via_diagrams, omega_pairs
+from lvbij import (
+    alg_B,
+    alg_W,
+    gamma_forward,
+    gamma_inverse,
+    gamma_via_diagrams,
+    is_distinguished,
+    kappa,
+    omega_pairs,
+)
 
 PAIRS = [(alpha.parts, nu) for alpha, nu in omega_pairs(6, 3)]
 # all weakly decreasing weights of length <= 6 with entries in [-4, 4]
@@ -92,13 +102,14 @@ def _few_sizes(rng):
 def test_scale_families_agree_invert_and_twist():
     # every stage ranks many classes on the staircases, one or two long
     # classes on 1^2000, 2^1000, 100^15, 1^100000 and 100^100, and four
-    # classes of 25 rows on the few-sizes family; nu is drawn dominant, per
-    # block of equal parts.  The twist, two more forward calls per input, is
-    # checked up to n = 2000.
+    # classes of 25 rows on the few-sizes family; (100000) is one lone row.
+    # nu is drawn dominant, per block of equal parts.  Up to n = 2000 the
+    # twist is checked too, and the diagram pair (X, Y) of alg_W: X is
+    # distinguished and recovers nu, and alg_B(lam) gives Y.
     rng = random.Random(67)
     families = [tuple(range(50, 0, -1)), (1,) * 2000, (2,) * 1000, (100,) * 15,
                 _few_sizes(rng), _few_sizes(rng)]
-    large = [tuple(range(200, 0, -1)), (1,) * 100_000, (100,) * 100]
+    large = [tuple(range(200, 0, -1)), (1,) * 100_000, (100,) * 100, (100_000,)]
     for alpha in families + large:
         nu = []
         for _, block in groupby(alpha):
@@ -112,3 +123,7 @@ def test_scale_families_agree_invert_and_twist():
         for c in (1, -2):
             twisted = tuple(v + c * a for v, a in zip(nu, alpha))
             assert gamma_forward(alpha, twisted) == tuple(v + c for v in lam), (alpha[:3], c)
+        X, Y = alg_W(alpha, nu)
+        assert kappa(X) == nu, alpha[:3]
+        assert is_distinguished(X), alpha[:3]
+        assert alg_B(lam) == Y, alpha[:3]
