@@ -70,13 +70,14 @@ def _int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(_check_int, values))
 
 
-def _check_rows(alpha, nu) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _check_rows(alpha, nu, name: str = "nu") -> tuple[tuple[int, ...], tuple[int, ...]]:
     alpha = _int_tuple(alpha)
     nu = _int_tuple(nu)
     if not alpha:
         raise ValueError("empty input: at least one row is required")
     if len(alpha) != len(nu):
-        raise ValueError(f"alpha and nu must have equal length, got {len(alpha)} and {len(nu)}")
+        raise ValueError(
+            f"alpha and {name} must have equal length, got {len(alpha)} and {len(nu)}")
     if min(alpha) < 1:
         raise ValueError(f"row lengths must be positive, got {_shown(alpha)}")
     return alpha, nu

@@ -71,7 +71,7 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     entries; it survives iff its length exceeds 1, and its position counts the
     surviving rows with the same iota value so far.
     """
-    alpha, iota = _check_rows(alpha, iota)
+    alpha, iota = _check_rows(alpha, iota, "iota")
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
         raise ValueError(f"iota must be weakly decreasing, got {_shown(iota)}")
     inv = _inverse_permutation(_check_permutation(sigma, len(alpha)))

@@ -8,7 +8,7 @@ input; diagrams built from checked values skip that through `_trusted`.
 """
 
 from itertools import groupby
-from operator import add
+from operator import add, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -204,10 +204,10 @@ def concat(*diagrams) -> WeightDiagram:
     return WeightDiagram._trusted(rows)
 
 
-def _adjacent_steps_ok(Y: WeightDiagram, eps: int) -> bool:
+def _adjacent_steps_ok(rows: Sequence[Sequence[int]], eps: int) -> bool:
     # condition 1 of is_distinguished, eps = -1 for odd parity and +1 for even:
     # horizontal neighbours differ by 0 or eps*(-1)^(j+1), j the left column
-    for row in Y.rows:
+    for row in rows:
         for j in range(1, len(row)):
             step = row[j] - row[j - 1]
             if step != 0 and step != (eps if j % 2 == 1 else -eps):
@@ -215,62 +215,58 @@ def _adjacent_steps_ok(Y: WeightDiagram, eps: int) -> bool:
     return True
 
 
+def _raisable_ok(rows: Iterable[Sequence[int]], odd: int) -> bool:
+    # conditions 4 and 3 of is_distinguished, top down, with bottom[j] the
+    # lowest entry of column j so far: every column gap is at least 2, and
+    # an entry that tops its column (gap 3 stands for that) or sits more than
+    # 2 below the one above has no entry to its right at least 2 above it,
+    # nor, in a column with 0-based j % 2 == odd, one at least 1 above it
+    # among those in such columns.  hi and same, the largest of those to the
+    # right, start 2 below the row, where no entry of it can trip them.
+    bottom: list[int] = []
+    for row in rows:
+        hi = same = min(row) - 2
+        for j in reversed(range(len(row))):
+            v = row[j]
+            gap = bottom[j] - v if j < len(bottom) else 3
+            if gap < 2 or gap > 2 and (hi >= v + 2 or j % 2 == odd and same >= v + 1):
+                return False
+            if v > hi:
+                hi = v
+            if j % 2 == odd and v > same:
+                same = v
+        bottom[: len(row)] = row
+    return True
+
+
 def is_distinguished(X, parity: str = "odd") -> bool:
     """Check the four-condition characterization of algorithm outputs.
 
-    Both parities share the implementation; they differ in the sign pattern
-    allowed between horizontal neighbours and in which column-parity pair
-    forbids a raisable (resp. lowerable) entry.  One pass down the columns
-    of Y = e_map(X) checks the gaps and marks which entries are raisable or
-    lowerable; one right-to-left pass per row then checks each entry against
-    the extremes of the entries to its right.
+    The conditions are read on Y = e_map(X).  `_adjacent_steps_ok` checks
+    condition 1, and `_raisable_ok` checks conditions 4 and 3 top down: the
+    column gaps, and what lies right of each raisable entry.  Condition 2 is
+    condition 3 for lowerable entries, with the other column parity; it is
+    condition 3 on the dual of Y, its rows reversed and entries negated:
+
+    - The dual moves position p of a column of height h to h + 1 - p, and
+      e_map's shift h - 2p + 1 changes sign under that move, so the dual
+      commutes with e_map.
+    - It keeps every column's gaps, so condition 4 holds on Y exactly when
+      it holds on the dual, and it swaps raisable and lowerable entries.
+    - Steps within a row change sign, so condition 1 turns odd into even.
+    - The thresholds of conditions 2 and 3 change sign with the entries, and
+      their column-parity clause lands on the other parity.
+
+    So the even predicate of X is the odd one of its dual.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    X = _as_diagram(X)
-    Y = e_map(X)
-    rows = Y.rows
-
-    # condition 4: strict descent by at least 2 down every column; an entry
-    # is raisable (lowerable) iff it tops (ends) its column or the gap to the
-    # entry above (below) it exceeds 2
-    raisable = [[True] * len(row) for row in rows]
-    lowerable = [[True] * len(row) for row in rows]
-    lowest: list[int] = []  # per column, the row of its lowest entry so far
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if j == len(lowest):
-                lowest.append(i)
-                continue
-            k = lowest[j]
-            gap = rows[k][j] - v
-            if gap < 2:
-                return False
-            raisable[i][j] = lowerable[k][j] = gap > 2
-            lowest[j] = i
-
-    if not _adjacent_steps_ok(Y, -1 if parity == "odd" else 1):
-        return False
-
-    # conditions 3 and 2: no raisable entry has an entry to its right at least
-    # 2 above it, nor, in the raising column parity, a same-parity one at
-    # least 1 above it; the same for lowerable entries, below and with the
-    # other column parity.  hi/lo range over all entries to the right, and
-    # same_hi/same_lo over those in columns of each parity.  They start 2
-    # outside the row's range, where no entry of the row can trip them.
-    raise_parity = 0 if parity == "odd" else 1  # 0-based j % 2 of the raising columns
-    for row, up, down in zip(rows, raisable, lowerable):
-        hi, lo = min(row) - 2, max(row) + 2
-        same_hi, same_lo = [hi, hi], [lo, lo]
-        for j in reversed(range(len(row))):
-            v, p = row[j], j % 2
-            if up[j] and (hi >= v + 2 or (p == raise_parity and same_hi[p] >= v + 1)):
-                return False
-            if down[j] and (lo <= v - 2 or (p != raise_parity and same_lo[p] <= v - 1)):
-                return False
-            hi, lo = max(hi, v), min(lo, v)
-            same_hi[p], same_lo[p] = max(same_hi[p], v), min(same_lo[p], v)
-    return True
+    rows = e_map(X).rows
+    # lists: freed tuples here slowed later tuple-heavy calls by a few percent
+    dual = [list(map(neg, row)) for row in reversed(rows)]
+    if parity == "even":
+        rows, dual = dual, rows
+    return _adjacent_steps_ok(rows, -1) and _raisable_ok(rows, 0) and _raisable_ok(dual, 1)
 
 
 def render_diagram(X) -> str:

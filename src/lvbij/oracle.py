@@ -409,7 +409,7 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
         if extended:
             ex = e_map(X)
             report.check("pair_coherence").record(ex == Y, label)
-            report.check("adjacency").record(_adjacent_steps_ok(Y, -1), label)
+            report.check("adjacency").record(_adjacent_steps_ok(Y.rows, -1), label)
             report.check("shift_compat").record(
                 eta(ex) == dom(a + r for a, r in zip(hx, rho2)), label
             )
@@ -417,7 +417,7 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
             report.check("distinguished_even").record(
                 is_distinguished(pair_plus.left, "even"), label
             )
-            report.check("adjacency").record(_adjacent_steps_ok(pair_plus.right, 1), label)
+            report.check("adjacency").record(_adjacent_steps_ok(pair_plus.right.rows, 1), label)
             if alpha.ell > 1:
                 pairs = list(zip(alpha.parts, nu))
                 for shuffled in (pairs[::-1], pairs[1:] + pairs[:1]):

@@ -125,6 +125,9 @@ def test_partition_views():
     assert alpha.distinct_parts() == ((4, 1), (3, 1), (2, 1), (1, 2))
     assert alpha == (4, 3, 2, 1, 1)
     assert alpha == [4, 3, 2, 1, 1]
+    assert alpha[0] == 4 and alpha[-1] == 1
+    assert alpha[1:3] == (3, 2)
+    assert Partition([1]) != 1
     assert hash(alpha) == hash(Partition((4, 3, 2, 1, 1)))
 
 

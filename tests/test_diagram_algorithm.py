@@ -37,7 +37,7 @@ def test_row_survival_rejects_non_monotone_iota():
 def test_branch_plan_and_row_survival_refuse_unequal_lengths():
     with pytest.raises(ValueError, match="equal length"):
         branch_plan([2, 1], [1], -1)
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match="iota must have equal length"):
         row_survival([2, 1], (1, 2), [3])
 
 

@@ -34,6 +34,8 @@ def test_weight_diagram_validation():
     with pytest.raises(TypeError):
         WeightDiagram([[1.5]])
     assert WeightDiagram([]).rows == ()
+    assert WeightDiagram([[1]]) != [[1]]
+    assert repr(WeightDiagram([[1, 2], [3]])) == "WeightDiagram([[1, 2], [3]])"
 
 
 def test_e_map_examples():
@@ -185,9 +187,9 @@ def test_is_distinguished_examples():
 
 
 def pairwise_is_distinguished(X, parity):
-    # the four conditions checked pair by pair, as is_distinguished did
-    # before it became two passes: every entry against every entry to its
-    # right in its row, raisable/lowerable read off its column neighbours
+    # the four conditions checked pair by pair, both parities written out:
+    # every entry against every entry to its right in its row,
+    # raisable/lowerable read off its column neighbours
     Y = e_map(X)
     cols = [Y.column(j) for j in range(1, max(Y.row_lengths(), default=0) + 1)]
     if any(a - b < 2 for col in cols for a, b in zip(col, col[1:])):
@@ -263,6 +265,10 @@ def test_is_distinguished_matches_pairwise_check():
         for parity in ("odd", "even"):
             got = is_distinguished(X, parity)
             assert got == pairwise_is_distinguished(X, parity), (X, parity)
+            # the dual (rows reversed, entries negated) in the other parity
+            dual = [[-v for v in row] for row in reversed(X.rows)]
+            other = "even" if parity == "odd" else "odd"
+            assert pairwise_is_distinguished(dual, other) == got, (X, parity)
             outcomes.add((parity, got))
     assert len(outcomes) == 4
 

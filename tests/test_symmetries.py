@@ -19,8 +19,12 @@ only one eps branch shows up.
   reversed; alg_B(lam, +1) and alg_B(-w0 lam, -1) with every entry negated
   have the same rows as multisets.
 
-No argument is written down for the duality and the two rounding modes:
-they are measured invariants, which held on every input below.
+No argument is written down here for the duality and the two rounding
+modes: they are measured invariants, which held on every input below.  The
+duality of the distinguished predicate itself (the even predicate of X is
+the odd one of X with its rows reversed and entries negated) is argued in
+the docstring of is_distinguished, and test_diagrams checks it against the
+pairwise transcription.
 
 Past the small bounds, seeded inputs of a few scale families check, with no
 timing gate, that the two forward maps agree and that the inverse undoes
