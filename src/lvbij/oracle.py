@@ -115,12 +115,6 @@ def default_window(alpha) -> int:
     return alpha.ell + alpha.s
 
 
-def _row_window(length: int, total: int, window: int) -> tuple[int, int]:
-    lo = total // length - window
-    hi = -((-total) // length) + window
-    return lo, hi
-
-
 def _composition_count(length: int, total: int, lo: int, hi: int) -> int:
     # rows of `length` entries in [lo, hi] summing to total, by inclusion-exclusion
     # over the k entries forced past hi: O(length) integer steps for any window
@@ -159,17 +153,20 @@ def _row_compositions(length: int, total: int, lo: int, hi: int) -> Iterator[tup
         start += 1
 
 
-def _checked_search(alpha, nu, window: int) -> tuple[Partition, tuple[int, ...], int]:
-    """The validated input of a search, refused past STATE_LIMIT in-window
-    fillings; the message holds no caller integer, which str() may refuse."""
+def _checked_search(alpha, nu, window: int) -> tuple[Partition, tuple[int, ...], list]:
+    """The validated input of a search, with one frame (length, total, lo, hi)
+    per row: its entries lie in [lo, hi], within `window` of the row's
+    balanced split.  Refused past STATE_LIMIT in-window fillings; the message
+    holds no caller integer, which str() may refuse."""
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
-    states = 1
+    rows, states = [], 1
     for length, total in zip(alpha.parts, nu):
-        states *= _composition_count(length, total, *_row_window(length, total, window))
+        rows.append((length, total, total // length - window, -((-total) // length) + window))
+        states *= _composition_count(*rows[-1])
         if states > STATE_LIMIT:
             raise SearchSpaceError(f"the window spans more than {STATE_LIMIT} fillings")
-    return alpha, nu, window
+    return alpha, nu, rows
 
 
 def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
@@ -177,12 +174,9 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
 
     Entries of row i stay within `window` of the balanced split of nu[i].
     """
-    alpha, nu, window = _checked_search(alpha, nu, window)
+    _, _, rows = _checked_search(alpha, nu, window)
     # product reads each row's contents once, here, before the first filling
-    return map(WeightDiagram._trusted, product(*(
-        _row_compositions(length, total, *_row_window(length, total, window))
-        for length, total in zip(alpha.parts, nu)
-    )))
+    return map(WeightDiagram._trusted, product(*(_row_compositions(*row) for row in rows)))
 
 
 def min_norm_over_fillings(alpha, nu, window: int) -> int:
@@ -204,15 +198,13 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     (Cauchy-Schwarz).  A frame whose best option reaches the best norm found
     so far is popped; the minimum is that of the plain enumeration.
     """
-    alpha, nu, window = _checked_search(alpha, nu, window)
-    lengths = alpha.parts
+    alpha, nu, rows = _checked_search(alpha, nu, window)
     heights = alpha.conjugate().parts
-    windows = [_row_window(length, total, window) for length, total in zip(lengths, nu)]
     boxes = [(i, j) for j, h in enumerate(heights) for i in range(h)]
     columns: list[list[int]] = [[] for _ in heights]  # entries placed, top down
     rest = list(nu)  # what each row's unplaced boxes must add up to
     cost = sum((h**3 - h) // 3 for h in heights)
-    slack = sum(_ceil_div(t * t, length) for length, t in zip(lengths, nu))
+    slack = sum(_ceil_div(t * t, length) for length, t, _, _ in rows)
     best = None
     stack: list[list[tuple[int, int, int, int]] | None] = [None]  # None: not yet expanded
     while stack:
@@ -222,8 +214,8 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
             rest[i] += column.pop()
         options = stack[-1]
         if options is None:
-            r, left = rest[i], lengths[i] - j - 1
-            lo, hi = windows[i]
+            length, _, lo, hi = rows[i]
+            r, left = rest[i], length - j - 1
             base = slack - _ceil_div(r * r, left + 1)
             options = []
             for x in range(max(lo, r - left * hi), min(hi, r - left * lo) + 1):
@@ -245,9 +237,9 @@ def min_norm_over_fillings(alpha, nu, window: int) -> int:
     return best
 
 
-def _step_rows(length: int, total: int, window: int, shifts) -> Iterator[tuple[int, ...]]:
-    """In-window rows with the given total that satisfy condition 1 of
-    `is_distinguished` (odd parity) once shifted by `shifts`.
+def _step_rows(length: int, total: int, lo: int, hi: int, shifts) -> Iterator[tuple[int, ...]]:
+    """Rows with entries in [lo, hi] and the given total that satisfy
+    condition 1 of `is_distinguished` (odd parity) once shifted by `shifts`.
 
     Under the column shift, entry j moves by shifts[j].  Condition 1 allows
     the shifted row to step by 0 or -1 after an odd column and by 0 or +1
@@ -256,7 +248,6 @@ def _step_rows(length: int, total: int, window: int, shifts) -> Iterator[tuple[i
     stack, and a prefix is cut once its offsets spread wider than the
     window, so the stack holds at most two prefixes per entry.
     """
-    lo, hi = _row_window(length, total, window)
     stack = [((0,), 0, 0)]  # offsets of a prefix from its first entry, their min and max
     while stack:
         offsets, low, high = stack.pop()
@@ -286,37 +277,37 @@ def distinguished_fillings(alpha, nu, window: int) -> list[WeightDiagram]:
     each entry by 2 more than the one above).  Each full diagram is then
     checked with `is_distinguished`.
     """
-    alpha, nu, window = _checked_search(alpha, nu, window)
+    alpha, nu, rows = _checked_search(alpha, nu, window)
     heights = alpha.conjugate().parts
-    unplaced = Counter(zip(alpha.parts, nu))  # (length, total) -> rows left to place
+    unplaced = Counter(rows)  # frame -> rows left to place
     columns: list[list[int]] = [[] for _ in heights]  # entries placed, top down
     placed: list[tuple[int, ...]] = []
     found = []
 
     def place_next() -> Iterator[tuple[int, ...]]:
         # places each row that fits the next position, taking it back when resumed
-        for (length, total), left in unplaced.items():
+        for frame, left in unplaced.items():
             if not left:
                 continue
-            shifts = [heights[j] - 2 * len(columns[j]) - 1 for j in range(length)]
-            for row in _step_rows(length, total, window, shifts):
+            shifts = [heights[j] - 2 * len(columns[j]) - 1 for j in range(frame[0])]
+            for row in _step_rows(*frame, shifts):
                 if any(column and x > column[-1] for column, x in zip(columns, row)):
                     continue
-                unplaced[length, total] -= 1
+                unplaced[frame] -= 1
                 for column, x in zip(columns, row):
                     column.append(x)
                 placed.append(row)
                 yield row
                 placed.pop()
-                for column in columns[:length]:
+                for column in columns[:len(row)]:
                     column.pop()
-                unplaced[length, total] += 1
+                unplaced[frame] += 1
 
     stack = [place_next()]
     while stack:
         if next(stack[-1], None) is None:
             stack.pop()
-        elif len(placed) < len(alpha.parts):
+        elif len(placed) < len(rows):
             stack.append(place_next())
         else:
             X = WeightDiagram._trusted(placed)

@@ -29,7 +29,7 @@ from lvbij import (
     roundtrip_sweep,
     two_rho,
 )
-from lvbij.oracle import _composition_count, _row_compositions, _row_window, _step_rows
+from lvbij.oracle import _composition_count, _row_compositions, _step_rows
 
 
 def test_partitions_of_counts():
@@ -201,9 +201,8 @@ def test_row_compositions_are_the_window_rows_in_lexicographic_order():
                     assert all(lo <= v <= hi for v in row)
 
 
-def product_step_rows(length, total, window, shifts):
+def product_step_rows(length, total, lo, hi, shifts):
     # every one of the 2^(length-1) step patterns, then the window
-    lo, hi = _row_window(length, total, window)
     choices = [(0, -1 if j % 2 == 1 else 1) for j in range(1, length)]
     for steps in product(*choices):
         offsets = [0]
@@ -226,9 +225,10 @@ def test_step_rows_match_every_step_pattern():
         total = rng.randint(-3 * length, 3 * length)
         window = rng.randint(0, 4)
         shifts = list(accumulate(rng.randint(-2, 2) for _ in range(length)))
-        got = list(_step_rows(length, total, window, shifts))
+        lo, hi = total // length - window, -(-total // length) + window
+        got = list(_step_rows(length, total, lo, hi, shifts))
         assert len(got) == len(set(got))
-        assert set(got) == set(product_step_rows(length, total, window, shifts)), (
+        assert set(got) == set(product_step_rows(length, total, lo, hi, shifts)), (
             length, total, window, shifts)
 
 
