@@ -5,7 +5,8 @@ comma-separated signed integers.  Each subcommand computes its result once as
 a JSON-ready record (`enumerate`: an iterator of them).  `--format json` prints
 `{"input": ..., "result": ...}`; text renders each record as it is produced, so
 `enumerate` streams.  Exit codes: 0 success, 1 verification failure, 2 parse
-or validation error, 141 (128 + SIGPIPE) when the reader closes stdout early.
+or validation error or an answer too large to build, 141 (128 + SIGPIPE) when
+the reader closes stdout early.
 """
 
 import argparse
@@ -162,6 +163,10 @@ def main(argv=None) -> int:
         return code
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        # a valid input whose answer has more entries than an index or memory holds
+        print(f"error: the answer is too large to build ({exc!r})", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # what is still buffered goes to devnull, so the flush at interpreter

@@ -115,16 +115,24 @@ def default_window(alpha) -> int:
     return alpha.ell + alpha.s
 
 
+def _composition_terms(length: int, total: int, lo: int, hi: int) -> tuple[int, int]:
+    # (target, terms) for `_composition_count`: target is what the entries add
+    # above lo, or, if smaller, what they add in the mirror image x -> lo + hi - x,
+    # a bijection onto the rows summing to length * (lo + hi) - total
+    target = min(total - length * lo, length * hi - total)
+    if hi < lo or target < 0:
+        return target, 0
+    return target, min(length, target // (hi - lo + 1)) + 1
+
+
 def _composition_count(length: int, total: int, lo: int, hi: int) -> int:
     # rows of `length` entries in [lo, hi] summing to total, by inclusion-exclusion
-    # over the k entries forced past hi: O(length) integer steps for any window
+    # over the k < terms entries forced past hi: O(terms) integer steps for any window
+    target, terms = _composition_terms(length, total, lo, hi)
     width = hi - lo
-    target = total - length * lo
-    if width < 0 or target < 0:
-        return 0
     return sum(
         (-1) ** k * comb(length, k) * comb(target - k * (width + 1) + length - 1, length - 1)
-        for k in range(min(length, target // (width + 1)) + 1)
+        for k in range(terms)
     )
 
 
@@ -157,15 +165,27 @@ def _checked_search(alpha, nu, window: int) -> tuple[Partition, tuple[int, ...],
     """The validated input of a search, with one frame (length, total, lo, hi)
     per row: its entries lie in [lo, hi], within `window` of the row's
     balanced split.  Refused past STATE_LIMIT in-window fillings; the message
-    holds no caller integer, which str() may refuse."""
+    holds no caller integer, which str() may refuse.
+
+    A row whose count would sum more than 150 terms is refused without
+    counting, since it alone has more than STATE_LIMIT fillings.  Its width
+    hi - lo is 2 * window, plus 1 if length does not divide total.  At width
+    >= 2 (window >= 1) it has at least 150 boxes, and moving a unit from one
+    pair of boxes of the balanced row to a disjoint pair already gives
+    C(150, 2) * C(148, 2) = 121561650 fillings.  At width 1 its entries are
+    q and q + 1, with at least 300 of the rarer one, so it has at least
+    C(600, 300) fillings.  At width 0 the sum has one term.
+    """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
     rows, states = [], 1
     for length, total in zip(alpha.parts, nu):
-        rows.append((length, total, total // length - window, -((-total) // length) + window))
-        states *= _composition_count(*rows[-1])
+        row = (length, total, total // length - window, -((-total) // length) + window)
+        _, terms = _composition_terms(*row)
+        states *= _composition_count(*row) if terms <= 150 else STATE_LIMIT + 1
         if states > STATE_LIMIT:
             raise SearchSpaceError(f"the window spans more than {STATE_LIMIT} fillings")
+        rows.append(row)
     return alpha, nu, rows
 
 
@@ -175,8 +195,11 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     Entries of row i stay within `window` of the balanced split of nu[i].
     """
     _, _, rows = _checked_search(alpha, nu, window)
-    # product reads each row's contents once, here, before the first filling
-    return map(WeightDiagram._trusted, product(*(_row_compositions(*row) for row in rows)))
+    # the first row, the longest, streams; the others are read once, here,
+    # and product runs over them for each of its entries, in the same order
+    first, *others = (_row_compositions(*row) for row in rows)
+    others = [tuple(compositions) for compositions in others]
+    return (WeightDiagram._trusted((row,) + tail) for row in first for tail in product(*others))
 
 
 def min_norm_over_fillings(alpha, nu, window: int) -> int:

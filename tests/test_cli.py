@@ -266,6 +266,15 @@ def test_invalid_domain_input_exits_2(capsys):
     assert "equal length" in err
 
 
+def test_an_answer_too_large_to_build_exits_2(capsys):
+    # a row of 10^20 boxes overflows an index before anything is allocated
+    for command in ("forward", "diagram"):
+        code, out, err = run(capsys, command, "--alpha", str(10**20), "--nu", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the answer is too large to build")
+
+
 @pytest.mark.parametrize("command", ["forward", "inverse", "diagram", "verify", "enumerate"])
 def test_every_subcommand_parses_its_help(capsys, command):
     with pytest.raises(SystemExit) as exc:

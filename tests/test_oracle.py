@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import accumulate, permutations, product
 from pathlib import Path
 
@@ -29,7 +30,13 @@ from lvbij import (
     roundtrip_sweep,
     two_rho,
 )
-from lvbij.oracle import _composition_count, _row_compositions, _step_rows
+from lvbij.oracle import (
+    STATE_LIMIT,
+    _checked_search,
+    _composition_count,
+    _row_compositions,
+    _step_rows,
+)
 
 
 def test_partitions_of_counts():
@@ -107,6 +114,44 @@ def test_enumerate_fillings_search_space_guard():
         enumerate_fillings([9, 9, 9, 9], [0, 0, 0, 0], 40)
     with pytest.raises(SearchSpaceError):
         enumerate_fillings([9, 9, 9, 9], [0, 0, 0, 0], 10**5000)
+
+
+def test_enumerate_fillings_streams_its_first_row():
+    # the 204763 rows of one 6-box row at window 6 are not all held before
+    # the first filling
+    tracemalloc.start()
+    try:
+        assert next(enumerate_fillings([6], [0], 6)).rows == ((-6, -6, -6, 6, 6, 6),)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_single_rows_are_refused_exactly_past_the_state_limit():
+    # the counts of the last three rows have more than 150 terms, so they are
+    # refused without counting; the one before has 150 and is counted
+    rows = [(length, total, window) for length in range(1, 201) for window in (0, 1, 2)
+            for total in {0, 1, length // 2, -length - 1}]
+    for length, total, window in rows + [(449, 0, 1), (450, 0, 1), (330, 0, 7), (601, 300, 0)]:
+        lo, hi = total // length - window, -(-total // length) + window
+        too_many = _composition_count(length, total, lo, hi) > STATE_LIMIT
+        try:
+            _checked_search([length], [total], window)
+        except SearchSpaceError:
+            assert too_many, (length, total, window)
+        else:
+            assert not too_many, (length, total, window)
+
+
+def test_a_long_row_is_refused_without_counting(monkeypatch):
+    def uncalled(*row):
+        raise AssertionError(f"counted {row}")
+
+    monkeypatch.setattr("lvbij.oracle._composition_count", uncalled)
+    for length in (4000, 10**20):
+        with pytest.raises(SearchSpaceError):
+            min_norm_over_fillings([length], [0], length + 1)
 
 
 def test_min_norm_examples():
