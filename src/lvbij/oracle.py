@@ -169,12 +169,13 @@ def _checked_search(alpha, nu, window: int) -> tuple[Partition, tuple[int, ...],
 
     A row whose count would sum more than 150 terms is refused without
     counting, since it alone has more than STATE_LIMIT fillings.  Its width
-    hi - lo is 2 * window, plus 1 if length does not divide total.  At width
-    >= 2 (window >= 1) it has at least 150 boxes, and moving a unit from one
-    pair of boxes of the balanced row to a disjoint pair already gives
-    C(150, 2) * C(148, 2) = 121561650 fillings.  At width 1 its entries are
-    q and q + 1, with at least 300 of the rarer one, so it has at least
-    C(600, 300) fillings.  At width 0 the sum has one term.
+    hi - lo is 2 * window, plus 1 if length does not divide total, and the
+    terms number at most length + 1.  At width >= 2 (window >= 1) it has at
+    least 150 boxes, and moving a unit from one pair of boxes of the balanced
+    row to a disjoint pair already gives C(150, 2) * C(148, 2) = 121561650
+    fillings.  At width 1 its entries are q and q + 1, with at least 300 of
+    the rarer one, so it has at least C(600, 300) fillings.  At width 0 the
+    sum has one term.
     """
     alpha, nu = validate_omega_pair(alpha, nu)
     window = _check_bound("window", window)
@@ -197,8 +198,8 @@ def enumerate_fillings(alpha, nu, window: int) -> Iterator[WeightDiagram]:
     _, _, rows = _checked_search(alpha, nu, window)
     # the first row, the longest, streams; the others are read once, here,
     # and product runs over them for each of its entries, in the same order
-    first, *others = (_row_compositions(*row) for row in rows)
-    others = [tuple(compositions) for compositions in others]
+    first = _row_compositions(*rows[0])
+    others = [tuple(_row_compositions(*row)) for row in rows[1:]]
     return (WeightDiagram._trusted((row,) + tail) for row in first for tail in product(*others))
 
 

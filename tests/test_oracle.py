@@ -129,11 +129,13 @@ def test_enumerate_fillings_streams_its_first_row():
 
 
 def test_single_rows_are_refused_exactly_past_the_state_limit():
-    # the counts of the last three rows have more than 150 terms, so they are
-    # refused without counting; the one before has 150 and is counted
+    # of the long rows, the counts of 450, 330 and (601, 300) have more than
+    # 150 terms, so they are refused without counting; 449 has 150 terms, and
+    # (601, 600) has 601 fillings, 1 term in the mirror image but 301 without
     rows = [(length, total, window) for length in range(1, 201) for window in (0, 1, 2)
             for total in {0, 1, length // 2, -length - 1}]
-    for length, total, window in rows + [(449, 0, 1), (450, 0, 1), (330, 0, 7), (601, 300, 0)]:
+    rows += [(449, 0, 1), (450, 0, 1), (330, 0, 7), (601, 300, 0), (601, 600, 0)]
+    for length, total, window in rows:
         lo, hi = total // length - window, -(-total // length) + window
         too_many = _composition_count(length, total, lo, hi) > STATE_LIMIT
         try:
