@@ -83,19 +83,20 @@ def _check_rows(alpha, nu, name: str = "nu") -> tuple[tuple[int, ...], tuple[int
     return alpha, nu
 
 
-def _check_permutation(sigma, ell: int) -> tuple[int, ...]:
+def _check_permutation(sigma, ell: int) -> list[int]:
+    # sigma, row i at position sigma[i], as its pick order: the row at each position, from 0
     sigma = _int_tuple(sigma)
     if sorted(sigma) != list(range(1, ell + 1)):
         raise ValueError(f"not a permutation of 1..{ell}: {_shown(sigma)}")
-    return sigma
+    return sorted(range(ell), key=sigma.__getitem__)
 
 
-def _inverse_permutation(perm: Sequence[int], start: int = 1) -> tuple[int, ...]:
-    # one-line notation: perm's values count from start, the inverse's from 1
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm, start=1):
-        inv[p - start] = i
-    return tuple(inv)
+def _inverse_permutation(at: Sequence[int]) -> tuple[int, ...]:
+    # sigma in one-line notation from the pick order: sigma[at[p]] = p + 1
+    sigma = [0] * len(at)
+    for p, j in enumerate(at, start=1):
+        sigma[j] = p
+    return tuple(sigma)
 
 
 def _ceil_div(a: int, b: int) -> int:

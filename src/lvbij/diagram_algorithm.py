@@ -52,7 +52,7 @@ from .core import (
     _min_overlaps,
     _shown,
 )
-from .diagrams import DiagramPair, WeightDiagram, _shifted_rows, eta
+from .diagrams import DiagramPair, WeightDiagram, e_inverse, eta
 from .seq_algorithm import _rank_and_fill
 
 __all__ = [
@@ -74,13 +74,13 @@ def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     alpha, iota = _check_rows(alpha, iota, "iota")
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
         raise ValueError(f"iota must be weakly decreasing, got {_shown(iota)}")
-    inv = _inverse_permutation(_check_permutation(sigma, len(alpha)))
+    at = _check_permutation(sigma, len(alpha))
     out = []
     branch = pos = 0
     for p, value in enumerate(iota):
         if p == 0 or value != iota[p - 1]:
             branch, pos = branch + 1, 0
-        survives = alpha[inv[p] - 1] > 1
+        survives = alpha[at[p]] > 1
         pos += survives
         out.append((branch, pos if survives else 0))
     return tuple(out)
@@ -104,7 +104,7 @@ def branch_plan(alpha, nu, eps: int = -1) -> BranchPlan:
     alpha, nu = _check_rows(alpha, nu)
     # the node's rows of Y are its own positions here, so Y is thrown away
     iota, at, fed = _node(alpha, nu, eps, range(len(alpha)), [[] for _ in alpha])
-    return BranchPlan(_inverse_permutation(at, 0), iota,
+    return BranchPlan(_inverse_permutation(at), iota,
                       tuple(tuple(p + 1 for p in rows) for _, _, rows in fed),
                       tuple(tuple(a) for a, _, _ in fed), tuple(tuple(v) for _, v, _ in fed))
 
@@ -187,8 +187,8 @@ def alg_W(alpha, nu, eps: int = -1) -> DiagramPair:
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    Y = _alg_W(alpha, nu, eps)
-    return DiagramPair(WeightDiagram._trusted(_shifted_rows(Y, -1)), WeightDiagram._trusted(Y))
+    Y = WeightDiagram._trusted(_alg_W(alpha, nu, eps))
+    return DiagramPair(e_inverse(Y), Y)
 
 
 def gamma_via_diagrams(alpha, nu) -> tuple[int, ...]:

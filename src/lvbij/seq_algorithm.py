@@ -158,7 +158,7 @@ def ranking(eps: int, alpha: Sequence[int], nu: Sequence[int]) -> tuple[int, ...
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    return _inverse_permutation(_rank_and_fill(eps, alpha, nu)[1], 0)
+    return _inverse_permutation(_rank_and_fill(eps, alpha, nu)[1])
 
 
 def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
@@ -270,16 +270,16 @@ def column_seq(eps: int, alpha: Sequence[int], nu: Sequence[int],
     """
     eps = _check_eps(eps)
     alpha, nu = _check_rows(alpha, nu)
-    sigma = _check_permutation(sigma, len(alpha))
     ell = len(alpha)
+    at = _check_permutation(sigma, ell)
     # T_a = sum over the other rows of min(a, length), one entry per distinct length a
     totals = {a: t - a for a, t in _min_overlaps(_length_counts(alpha)).items()}
     placed = dict.fromkeys(totals, 0)  # rows of each length at earlier positions
     raw = []
-    for p, i in enumerate(_inverse_permutation(sigma), start=1):
-        a = alpha[i - 1]
+    for p, i in enumerate(at, start=1):
+        a = alpha[i]
         before = sum(c * min(a, b) for b, c in placed.items())
-        numer = nu[i - 1] + totals[a] - 2 * before
+        numer = nu[i] + totals[a] - 2 * before
         c = _ceil_div(numer, a) if eps == -1 else numer // a
         raw.append(c + 2 * p - ell - 1)
         placed[a] += 1
@@ -336,8 +336,7 @@ def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
     _check_length("nu", nu, alpha.ell)
     out = []
     for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu):
-        sigma = _inverse_permutation(at, 0) if len(at) > 1 else (1,)  # a lone row ranks nothing
-        out.append(Stage(stage_alpha, stage_nu, sigma, mu))
+        out.append(Stage(stage_alpha, stage_nu, _inverse_permutation(at), mu))
         if count > 1:
             # a lone row's batch: each later stage has one box and m of nu less
             (a,), (n,), (m,) = stage_alpha, stage_nu, mu

@@ -29,6 +29,34 @@ def test_row_survival_examples():
     assert row_survival([1], (1,), [7]) == ((1, 0),)
 
 
+def naive_row_survival(alpha, sigma, iota):
+    # the docstring read literally: the row at position i is the one sigma
+    # sends to i, its branch counts the distinct values of iota[:i], and its
+    # position counts the surviving rows among those of iota[:i] equal to iota[i-1]
+    row_at = {p: row for row, p in enumerate(sigma)}
+    out = []
+    for i in range(1, len(iota) + 1):
+        branch = len(set(iota[:i]))
+        if alpha[row_at[i]] == 1:
+            out.append((branch, 0))
+        else:
+            same = [p for p in range(1, i + 1) if iota[p - 1] == iota[i - 1]]
+            out.append((branch, sum(alpha[row_at[p]] > 1 for p in same)))
+    return tuple(out)
+
+
+def test_row_survival_matches_its_docstring_on_random_permutations():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        ell = rng.randint(1, 9)
+        alpha = [rng.randint(1, 4) for _ in range(ell)]
+        sigma = list(range(1, ell + 1))
+        rng.shuffle(sigma)
+        iota = sorted((rng.randint(-3, 3) for _ in range(ell)), reverse=True)
+        assert row_survival(alpha, sigma, iota) == naive_row_survival(alpha, sigma, iota), (
+            alpha, sigma, iota)
+
+
 def test_row_survival_rejects_non_monotone_iota():
     with pytest.raises(ValueError):
         row_survival([1, 2], (1, 2), [3, 4])

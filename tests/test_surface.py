@@ -87,6 +87,23 @@ def test_inverse_algorithm_does_not_import_seq_algorithm():
         assert imported and not any(name and "seq_algorithm" in name for name in imported), module
 
 
+def test_private_names_taken_from_sibling_modules():
+    # besides core's helpers, a module reaches another module's kernels only
+    # through its public functions, except for these three: the column shift,
+    # say, is called only inside diagrams, through e_map and e_inverse
+    taken = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path.stem)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "core":
+                taken.update((path.stem, f"{node.module}.{alias.name}")
+                             for alias in node.names if alias.name.startswith("_"))
+    assert taken == {
+        ("diagram_algorithm", "seq_algorithm._rank_and_fill"),
+        ("inverse_algorithm", "diagrams._preimage_readout"),
+        ("oracle", "diagrams._adjacent_steps_ok"),
+    }
+
+
 def test_every_module_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10: feature_version makes
     # the parser refuse later grammar, such as except* (3.11)
