@@ -14,9 +14,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import (
     Partition,
     _check_bound,
-    _check_int,
     _column_heights,
     _dom,
+    _int_tuple,
     _length_counts,
     _min_overlaps,
 )
@@ -43,10 +43,9 @@ class WeightDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(_check_int(v) for v in row) for row in rows)
-        for row in rows:
-            if not row:
-                raise ValueError("diagram rows must be non-empty")
+        rows = tuple(map(_int_tuple, rows))
+        if not all(rows):
+            raise ValueError("diagram rows must be non-empty")
         self.rows = rows
 
     @classmethod

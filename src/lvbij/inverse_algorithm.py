@@ -74,17 +74,13 @@ def _expand(runs) -> tuple[int, ...]:
 
 def clumps(lam) -> tuple[tuple[int, ...], ...]:
     """Split a weakly decreasing sequence at every gap of 2 or more."""
-    return tuple(map(_expand, _clumps(_dominant_runs(lam))))
-
-
-def _clumps(runs: list[list[int]]) -> list[list[list[int]]]:
     out: list[list[list[int]]] = []
-    for run in runs:
+    for run in _dominant_runs(lam):
         if out and out[-1][-1][0] - run[0] < 2:
             out[-1].append(run)
         else:
             out.append([run])
-    return out
+    return tuple(map(_expand, out))
 
 
 def majuscule_extract(clump, eps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
