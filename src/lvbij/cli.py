@@ -4,9 +4,12 @@ Subcommands: forward, inverse, diagram, verify, enumerate.  Sequences are
 comma-separated signed integers.  Each subcommand computes its result once as
 a JSON-ready record (`enumerate`: an iterator of them).  `--format json` prints
 `{"input": ..., "result": ...}`; text renders each record as it is produced, so
-`enumerate` streams.  Exit codes: 0 success, 1 verification failure, 2 parse
-or validation error or an answer too large to build, 141 (128 + SIGPIPE) when
-the reader closes stdout early.
+`enumerate` streams.  `enumerate` lists the fillings of one pair (`--alpha`,
+`--nu`, `--window`) or the (alpha, nu) pairs up to a size (`--n-max`,
+`--entry-bound`); a flag of the other mode, or only one of `--alpha` and
+`--nu`, is a usage error.  Exit codes: 0 success, 1 verification failure, 2
+parse, usage or validation error or an answer too large to build, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 
 import argparse
@@ -129,7 +132,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.alpha is not None and args.nu is not None:
+    # two modes, each with its own flags: fillings of one pair (--alpha, --nu
+    # and --window), or (alpha, nu) pairs (--n-max); --entry-bound has a
+    # default, so its use with fillings cannot be told apart and is ignored
+    one_pair = (args.alpha, args.nu, args.window) != (None, None, None)
+    if one_pair and args.n_max is not None:
+        raise ValueError("enumerate takes --n-max without --alpha, --nu or --window")
+    if one_pair and (args.alpha is None or args.nu is None):
+        raise ValueError("enumerate needs both --alpha and --nu to list fillings")
+    if one_pair:
         window = default_window(args.alpha) if args.window is None else args.window
         fillings = (
             [list(row) for row in f.rows]
@@ -142,8 +153,7 @@ def _cmd_enumerate(args) -> int:
         pairs = (_pair_record(a.parts, nu) for a, nu in omega_pairs(args.n_max, args.entry_bound))
         _emit(args, {"n_max": args.n_max, "entry_bound": args.entry_bound}, pairs, _render_pair)
         return 0
-    print("enumerate needs either --alpha and --nu, or --n-max", file=sys.stderr)
-    return 2
+    raise ValueError("enumerate needs either --alpha and --nu, or --n-max")
 
 
 _COMMANDS = {"forward": _cmd_forward, "inverse": _cmd_inverse, "diagram": _cmd_diagram,

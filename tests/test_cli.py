@@ -255,6 +255,24 @@ def test_enumerate_requires_arguments(capsys):
     assert "enumerate needs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "2", "--n-max", "1"],
+    ["--nu", "1", "--n-max", "1"],
+    ["--alpha", "1", "--nu", "0", "--n-max", "1", "--window", "0"],
+    ["--n-max", "1", "--window", "3"],
+    ["--alpha", "2"],
+    ["--nu", "1", "--window", "0"],
+    ["--window", "3"],
+], ids=["alpha-with-n-max", "nu-with-n-max", "pair-with-n-max", "window-with-n-max",
+        "alpha-alone", "nu-without-alpha", "window-alone"])
+def test_enumerate_refuses_flags_of_the_other_mode(capsys, argv):
+    # one mode lists the fillings of one pair, the other the pairs up to --n-max
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: enumerate ") and err.count("\n") == 1
+
+
 def test_invalid_domain_input_exits_2(capsys):
     code, _, err = run(capsys, "forward", "--alpha", "2,3", "--nu", "1,1")
     assert code == 2
