@@ -50,15 +50,17 @@ order the clamp is the running minimum of E for both modes: for eps = +1 the
 entries are -E and are clamped from the back by the running maximum.
 
 One pick loop, `_pick`, takes its classes from one of two setups and hands on
-the ranking as its pick order, the row at each position; only `ranking`,
-`branch_plan` and `alg_A_stages` show sigma, its inverse.  The rows
-of `ranking` and of Algorithm W's nodes come in any order, so
-`_rank_and_fill` sorts them by length and entry.  In Algorithm A alpha is
-weakly decreasing, so each length class is a run of consecutive indices, and
-the runs, read from the last one up, come in increasing length:
-`_run_classes` reads them off with no sort.  A queue orders its rows by
-(-nu, index), which is index order wherever nu is weakly decreasing along
-the run, as a dominant nu is; so the queue, head last, is the run reversed.
+the ranking as its pick order, the row at each position: the kernels' one
+form of a ranking, which `core._check_permutation` makes of a given sigma.
+Sigma is built from it only for `ranking`, `branch_plan` and `alg_A_stages`,
+the results that show it.  The rows of `ranking` and of Algorithm W's nodes
+come in any order, so `_rank_and_fill` sorts them by length and entry.  In
+Algorithm A alpha is weakly decreasing, so each length class is a run of
+consecutive indices, and the runs, read from the last one up, come in
+increasing length: `_run_classes` reads them off with no sort.  A queue
+orders its rows by (-nu, index), which is index order wherever nu is weakly
+decreasing along the run, as a dominant nu is; so the queue, head last, is
+the run reversed.
 
 The residual nu stays dominant, so every stage of `alg_A` takes that path.
 With eps = -1, y = nu_h + D for the head h of the class of length a:
