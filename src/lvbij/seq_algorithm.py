@@ -78,20 +78,18 @@ of the run are again a run, and their residual is again weakly decreasing.
 (On 40 000 seeded dominant inputs, 359 191 runs of two or more rows were
 set up, and none was out of order.)
 
-`alg_A_stages` also accepts a nu that is not dominant.  So `_run_classes`
-checks each run of two or more rows for order, at C speed, and where the
-check fails it sorts the reversed run by nu.  The sort is stable, so equal
-entries keep the higher index first, and the head is the lowest index of the
-largest entry: the order of the sorting setup.  The classes and their keys
-are then that setup's, and the one pick loop gives the same table.  Sorting
-each block once at the boundary and mapping sigma back would not: residuals
-that become equal at a later stage would break their tie by the permuted
-index instead of the row index.
+`alg_A_stages` also accepts a nu that is not dominant.  The setup is chosen
+once per call, by the public function that checked the input: `alg_A` and
+`gamma_forward` take the run setup at every stage, and `alg_A_stages` takes
+the sorting setup at every stage when nu is not dominant.  Sorting each block
+once at the boundary and mapping sigma back would not give the same table:
+residuals that become equal at a later stage would break their tie by the
+permuted index instead of the row index.
 """
 
 from collections.abc import Iterator
 from itertools import accumulate, chain, groupby
-from operator import ge, neg
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -101,12 +99,12 @@ from .core import (
     _ceil_div,
     _check_eps,
     _check_int,
-    _check_length,
     _check_permutation,
     _check_rows,
     _dom,
     _int_tuple,
     _inverse_permutation,
+    _is_dominant,
     _length_counts,
     _min_overlaps,
     _shown,
@@ -183,10 +181,9 @@ def _rank_and_fill(eps: int, alpha: Sequence[int], nu: Sequence[int]
 
 
 def _run_classes(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[list]:
-    # Algorithm A's setup, for weakly decreasing alpha (module docstring):
-    # each class is a run of equal parts, read from the last run, the
-    # shortest, up, and its queue is the run reversed, sorted by nu only when
-    # the run's nu is out of order
+    # Algorithm A's setup, for weakly decreasing alpha and dominant nu (module
+    # docstring): each class is a run of equal parts, read from the last run,
+    # the shortest, up, and its queue is the run reversed
     live = []
     low = 0
     end = ell = len(alpha)
@@ -196,11 +193,9 @@ def _run_classes(alpha: tuple[int, ...], nu: tuple[int, ...]) -> list[list]:
         if start and alpha[start - 1] == a:  # a run of two or more rows
             start = alpha.index(a)
             queue = list(range(end - 1, start - 1, -1))
-            if not all(map(ge, nu[start:end], nu[start + 1:end])):
-                queue.sort(key=nu.__getitem__)
         else:
             queue = [start]
-        y = nu[queue[-1]] + low - a * (ell - end)  # the rows past end are shorter
+        y = nu[start] + low - a * (ell - end)  # the rows past end are shorter
         live.append([a, y, -(-y // a), queue])
         low += a * (end - start)
         end = start
@@ -299,12 +294,14 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple]:
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...], dominant: bool) -> Iterator[tuple]:
     # Yields (alpha, nu, at, mu, count) batches, each standing for count stages
     # with the same block: count 1 while two or more rows are live, then the
-    # lone row's balanced split (module docstring) in at most two batches
+    # lone row's balanced split (module docstring) in at most two batches.  A
+    # dominant nu stays dominant, so the call's setup serves every stage
     while len(alpha) > 1:
-        mu, at = _pick(-1, nu, _run_classes(alpha, nu))
+        mu, at = (_pick(-1, nu, _run_classes(alpha, nu)) if dominant
+                  else _rank_and_fill(-1, alpha, nu))
         yield alpha, nu, at, mu, 1
         # each row loses its block entry; alpha is weakly decreasing, so its
         # rows of length 1 come last, and they drop out with residual 0
@@ -325,7 +322,8 @@ def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple]:
 
 
 def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(mu * count for _, _, _, mu, count in _stages(alpha, nu)))
+    stages = _stages(alpha, nu, True)  # validate_omega_pair has checked nu
+    return tuple(chain.from_iterable(mu * count for _, _, _, mu, count in stages))
 
 
 def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
@@ -335,9 +333,9 @@ def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
     """
     alpha = _as_partition(alpha)
     nu = _int_tuple(nu)
-    _check_length("nu", nu, alpha.ell)
+    dominant = _is_dominant(nu, alpha)  # checks nu's length too
     out = []
-    for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu):
+    for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu, dominant):
         out.append(Stage(stage_alpha, stage_nu, _inverse_permutation(at), mu))
         if count > 1:
             # a lone row's batch: each later stage has one box and m of nu less
