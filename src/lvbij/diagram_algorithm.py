@@ -65,11 +65,12 @@ __all__ = [
 
 
 def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
-    """Branch and position of each row; position 0 marks a non-surviving row.
+    """Branch and branch position for each position of sigma; 0 marks a non-survivor.
 
-    Row i goes to branch x = number of distinct iota values among the first i
-    entries; it survives iff its length exceeds 1, and its position counts the
-    surviving rows with the same iota value so far.
+    Entry i is for the row that sigma puts at position i, not for row i: it
+    goes to branch x = number of distinct iota values among the first i
+    entries, survives iff its length exceeds 1, and its branch position
+    counts the surviving rows with the same iota value so far.
     """
     alpha, iota = _check_rows(alpha, iota, "iota")
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
@@ -93,7 +94,8 @@ class BranchPlan:
 
     sigma: tuple[int, ...]
     iota: tuple[int, ...]
-    survivor_rows: tuple[tuple[int, ...], ...]  # per fed branch: top-level rows, in position order
+    # per fed branch: its positions 1, 2, ..., which are rows of Y, not input row indices
+    survivor_rows: tuple[tuple[int, ...], ...]
     sub_alpha: tuple[tuple[int, ...], ...]
     sub_nu_hat: tuple[tuple[int, ...], ...]  # nu - iota, corrected across branches
 

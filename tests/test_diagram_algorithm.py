@@ -57,6 +57,26 @@ def test_row_survival_matches_its_docstring_on_random_permutations():
             alpha, sigma, iota)
 
 
+def test_row_survival_agrees_with_branch_plan():
+    # the positions row_survival marks as surviving, grouped by branch, are
+    # branch_plan's survivor rows, numbered 1, 2, ... within each branch
+    rng = random.Random(97)
+    for _ in range(2000):
+        ell = rng.randint(1, 9)
+        alpha = [rng.randint(1, 5) for _ in range(ell)]
+        nu = [rng.randint(-6, 6) for _ in range(ell)]
+        for eps in (-1, 1):
+            plan = branch_plan(alpha, nu, eps)
+            survival = row_survival(alpha, plan.sigma, plan.iota)
+            fed = []
+            for _, group in groupby(enumerate(survival, start=1), key=lambda e: e[1][0]):
+                kept = [(p, pos) for p, (_, pos) in group if pos]
+                if kept:
+                    assert [pos for _, pos in kept] == list(range(1, len(kept) + 1))
+                    fed.append(tuple(p for p, _ in kept))
+            assert tuple(fed) == plan.survivor_rows, (alpha, nu, eps)
+
+
 def test_row_survival_rejects_non_monotone_iota():
     with pytest.raises(ValueError):
         row_survival([1, 2], (1, 2), [3, 4])

@@ -19,6 +19,7 @@ from lvbij import (
     ranking,
     two_rho,
 )
+from lvbij import seq_algorithm
 
 
 def ceil_half(v):
@@ -390,12 +391,16 @@ def test_alg_A_stage_table_golden():
     ]
 
 
+# nu is out of order on the runs of 5s and 3s
+NON_DOMINANT = ((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2))
+
+
 def test_non_dominant_stage_table_breaks_ties_by_row_index():
-    # nu is out of order on the runs of 5s and 3s.  At the third stage rows 4
-    # and 6 of the run of 1s tie at -1 and are picked by row index; sorting
-    # each block of equal parts once at the start and mapping sigma back
-    # would pick row 6 first, giving sigma (4, 3, 1, 6, 2, 5) there
-    stages = alg_A_stages((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2))
+    # At the third stage rows 4 and 6 of the run of 1s tie at -1 and are
+    # picked by row index; sorting each block of equal parts once at the start
+    # and mapping sigma back would pick row 6 first, giving sigma
+    # (4, 3, 1, 6, 2, 5) there
+    stages = alg_A_stages(*NON_DOMINANT)
     assert [(s.alpha, s.nu, s.sigma, s.mu) for s in stages] == [
         ((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2),
          (6, 4, 2, 8, 3, 7, 1, 5, 9), (4, 0, 0, 0, 0, 0, 0, 0, -2)),
@@ -415,10 +420,11 @@ def dominant_per_block(alpha, nu):
 
 
 def test_stage_tables_match_ranking_and_column_seq():
-    # alg_A_stages reads its classes off the runs of alpha, and ranking and
-    # column_seq sort their rows: the two setups must agree at every stage.
-    # Half the small inputs have nu out of order on some run; the staircase
-    # has one row per class, the few-sizes family four classes of 25 rows
+    # For a dominant nu alg_A_stages reads its classes off the runs of alpha,
+    # and ranking and column_seq sort their rows: the two setups must agree at
+    # every stage.  Half the small inputs have nu out of order on some run,
+    # and there both sides run the sorting setup; the staircase has one row
+    # per class, the few-sizes family four classes of 25 rows
     rng = random.Random(73)
     cases = []
     for k in range(2000):
@@ -440,6 +446,44 @@ def test_stage_tables_match_ranking_and_column_seq():
         for stage in alg_A_stages(alpha, nu):
             assert stage.sigma == ranking(-1, stage.alpha, stage.nu), (alpha, nu)
             assert stage.mu == column_seq(-1, stage.alpha, stage.nu, stage.sigma), (alpha, nu)
+
+
+def dominant_stage_inputs(rng):
+    # omega_pairs(6, 3), staircases with one row per class, and partitions of
+    # up to four sizes with many rows per class, nu dominant throughout
+    cases = list(omega_pairs(6, 3))
+    for s in range(2, 31):
+        cases.append((tuple(range(s, 0, -1)), tuple(rng.randint(-9, 9) for _ in range(s))))
+    for _ in range(60):
+        sizes = sorted(rng.sample(range(1, 13), rng.randint(1, 4)), reverse=True)
+        alpha = tuple(a for a in sizes for _ in range(rng.randint(1, 8)))
+        cases.append((alpha, dominant_per_block(alpha, [rng.randint(-9, 9) for _ in alpha])))
+    return cases
+
+
+def test_residual_nu_stays_dominant_at_every_stage():
+    # Algorithm A's run setup trusts this at every stage of a dominant input
+    for alpha, nu in dominant_stage_inputs(random.Random(83)):
+        for stage in alg_A_stages(alpha, nu):
+            assert is_dominant_wrt(stage.nu, stage.alpha), (alpha, nu, stage)
+
+
+def test_only_a_non_dominant_stage_table_takes_the_sorting_setup(monkeypatch):
+    # a dominant input takes the run setup at every stage, whichever public
+    # function received it; only alg_A_stages on a non-dominant nu sorts
+    class Sorted(Exception):
+        pass
+
+    def refuse(*args):
+        raise Sorted
+
+    monkeypatch.setattr(seq_algorithm, "_rank_and_fill", refuse)
+    for alpha, nu in dominant_stage_inputs(random.Random(89)):
+        gamma_forward(alpha, nu)
+        alg_A(alpha, nu)
+        alg_A_stages(alpha, nu)
+    with pytest.raises(Sorted):
+        alg_A_stages(*NON_DOMINANT)
 
 
 def test_block_sum_conservation_and_block_monotonicity():
