@@ -67,10 +67,9 @@ __all__ = [
 def row_survival(alpha, sigma, iota) -> tuple[tuple[int, int], ...]:
     """Branch and branch position for each position of sigma; 0 marks a non-survivor.
 
-    Entry i is for the row that sigma puts at position i, not for row i: it
-    goes to branch x = number of distinct iota values among the first i
-    entries, survives iff its length exceeds 1, and its branch position
-    counts the surviving rows with the same iota value so far.
+    Entry i is for the row at position i of sigma, not row i: branch x = number
+    of distinct iota values among the first i entries; it survives iff its
+    length exceeds 1, and its position counts the survivors of its branch so far.
     """
     alpha, iota = _check_rows(alpha, iota, "iota")
     if any(iota[i] < iota[i + 1] for i in range(len(iota) - 1)):
