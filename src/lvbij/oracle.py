@@ -10,10 +10,13 @@ ceil(rest^2 / k) more (Cauchy-Schwarz); the search over the boxes is one loop.
 Distinguished diagrams are found by a search over fillings and row orders,
 one loop over an explicit stack of row positions, that places a row only if
 it meets the conditions of `is_distinguished` that the rows above it already
-decide, and the sweep harnesses grind through every small input checking the
-advertised identities.  Both searches return what the plain enumeration
-returns; `tests/test_oracle.py` checks them against it.  The public
-functions check their bounds and windows with the helpers of `core`.
+decide.  Both searches return what the plain enumeration returns;
+`tests/test_oracle.py` checks them against it.  The three sweeps grind
+through every small input checking the advertised identities: each is its
+bounds, its cases and a generator of checks per case, and all three share
+one loop, `_sweep`, which counts the cases, records the checks and formats
+a case's label only when one of its checks fails.  The public functions
+check their bounds and windows with the helpers of `core`.
 """
 
 from collections import Counter
@@ -387,6 +390,23 @@ class SweepReport:
         return "\n".join(lines)
 
 
+def _sweep(report: SweepReport, fields: tuple[str, ...], cases, checks) -> SweepReport:
+    """The sweeps' one loop.  Each case is a tuple of sequences, named by
+    `fields`, and checks(*case) yields (check name, ok) or (check name, ok,
+    detail); each is recorded in turn.  The case's label, each field with
+    its sequence as a list, is formatted only once one of its checks fails.
+    """
+    for case in cases:
+        report.cases += 1
+        label = ""
+        for check in checks(*case):
+            name, ok = check[0], check[1]  # indexed: unpacking *detail costs a list
+            if not ok and not label:
+                label = ", ".join(f"{field}={list(seq)}" for field, seq in zip(fields, case))
+            report.check(name).record(ok, label, *check[2:])
+    return report
+
+
 def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> SweepReport:
     """Exhaustive forward-side verification over all small inputs.
 
@@ -400,90 +420,76 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
     `kappa_recovery`, `norm_agreement` and `distinguished_odd` test the left
     diagram on its own.
     """
-    report = SweepReport(label=f"roundtrip sweep n<={n_max}, |nu_i|<={entry_bound}")
-    for alpha, nu in omega_pairs(n_max, entry_bound):
-        report.cases += 1
-        label = f"alpha={list(alpha.parts)}, nu={list(nu)}"
-        rho2 = two_rho(alpha)
 
+    def checks(alpha, nu):
+        rho2 = two_rho(alpha)
         mu = alg_A(alpha, nu)
         gam = dom(m + r for m, r in zip(mu, rho2))
         pair = alg_W(alpha.parts, nu, -1)
         X, Y = pair.left, pair.right
-
-        report.check("kappa_recovery").record(kappa(X) == nu, label)
+        yield "kappa_recovery", kappa(X) == nu
         hx = h_weight(X)
-        report.check("norm_agreement").record(
-            norm_sq(a + r for a, r in zip(hx, rho2)) == norm_sq(a + r for a, r in zip(mu, rho2)),
-            label,
+        yield "norm_agreement", (
+            norm_sq(a + r for a, r in zip(hx, rho2)) == norm_sq(a + r for a, r in zip(mu, rho2))
         )
-        report.check("eta_agreement").record(eta(Y) == gam, label)
-        report.check("distinguished_odd").record(is_distinguished(X, "odd"), label)
-        report.check("roundtrip").record(gamma_inverse(gam) == (alpha, nu), label)
+        yield "eta_agreement", eta(Y) == gam
+        yield "distinguished_odd", is_distinguished(X, "odd")
+        yield "roundtrip", gamma_inverse(gam) == (alpha, nu)
+        if not extended:
+            return
+        ex = e_map(X)
+        yield "pair_coherence", ex == Y
+        yield "adjacency", _adjacent_steps_ok(Y.rows, -1)
+        yield "shift_compat", eta(ex) == dom(a + r for a, r in zip(hx, rho2))
+        pair_plus = alg_W(alpha.parts, nu, 1)
+        yield "distinguished_even", is_distinguished(pair_plus.left, "even")
+        yield "adjacency", _adjacent_steps_ok(pair_plus.right.rows, 1)
+        if alpha.ell > 1:
+            pairs = list(zip(alpha.parts, nu))
+            for shuffled in (pairs[::-1], pairs[1:] + pairs[:1]):
+                beta = [a for a, _ in shuffled]
+                xi = [v for _, v in shuffled]
+                same = alg_W(beta, xi, -1) == pair and alg_W(beta, xi, 1) == pair_plus
+                yield "permutation_invariance", same, f"permuted to beta={beta}, xi={xi}"
 
-        if extended:
-            ex = e_map(X)
-            report.check("pair_coherence").record(ex == Y, label)
-            report.check("adjacency").record(_adjacent_steps_ok(Y.rows, -1), label)
-            report.check("shift_compat").record(
-                eta(ex) == dom(a + r for a, r in zip(hx, rho2)), label
-            )
-            pair_plus = alg_W(alpha.parts, nu, 1)
-            report.check("distinguished_even").record(
-                is_distinguished(pair_plus.left, "even"), label
-            )
-            report.check("adjacency").record(_adjacent_steps_ok(pair_plus.right.rows, 1), label)
-            if alpha.ell > 1:
-                pairs = list(zip(alpha.parts, nu))
-                for shuffled in (pairs[::-1], pairs[1:] + pairs[:1]):
-                    beta = [a for a, _ in shuffled]
-                    xi = [v for _, v in shuffled]
-                    report.check("permutation_invariance").record(
-                        alg_W(beta, xi, -1) == pair and alg_W(beta, xi, 1) == pair_plus,
-                        label,
-                        f"permuted to beta={beta}, xi={xi}",
-                    )
-    return report
+    report = SweepReport(label=f"roundtrip sweep n<={n_max}, |nu_i|<={entry_bound}")
+    return _sweep(report, ("alpha", "nu"), omega_pairs(n_max, entry_bound), checks)
 
 
 def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
     """Exhaustive inverse-side verification over all small dominant weights."""
+
+    def checks(lam):
+        parts = clumps(lam)
+        structure_ok = sum(parts, ()) == lam
+        for part in parts:
+            structure_ok = structure_ok and all(
+                part[i] - part[i + 1] <= 1 for i in range(len(part) - 1)
+            )
+        structure_ok = structure_ok and all(
+            parts[t][-1] - parts[t + 1][0] >= 2 for t in range(len(parts) - 1)
+        )
+        yield "clump_structure", structure_ok
+        maj_ok = True
+        for part in parts:
+            extracted, remainder = majuscule_extract(part, -1)
+            maj_ok = maj_ok and all(
+                extracted[i] - extracted[i + 1] >= 2 for i in range(len(extracted) - 1)
+            )
+            maj_ok = maj_ok and list(remainder) == sorted(remainder, reverse=True)
+            maj_ok = maj_ok and sorted(extracted + remainder) == sorted(part)
+        yield "majuscule_structure", maj_ok
+        alpha, nu = gamma_inverse(lam)
+        yield "roundtrip", gamma_forward(alpha, nu) == lam
+        yield "section_agreement", alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right
+
     max_len = _check_bound("max_len", max_len)
     entry_bound = _check_bound("entry_bound", entry_bound)
     report = SweepReport(label=f"inverse sweep len<={max_len}, |entry|<={entry_bound}")
     values = range(entry_bound, -entry_bound - 1, -1)
-    for k in range(1, max_len + 1):
-        for lam in combinations_with_replacement(values, k):
-            report.cases += 1
-            label = f"lambda={list(lam)}"
-
-            parts = clumps(lam)
-            structure_ok = sum(parts, ()) == lam
-            for part in parts:
-                structure_ok = structure_ok and all(
-                    part[i] - part[i + 1] <= 1 for i in range(len(part) - 1)
-                )
-            structure_ok = structure_ok and all(
-                parts[t][-1] - parts[t + 1][0] >= 2 for t in range(len(parts) - 1)
-            )
-            report.check("clump_structure").record(structure_ok, label)
-
-            maj_ok = True
-            for part in parts:
-                extracted, remainder = majuscule_extract(part, -1)
-                maj_ok = maj_ok and all(
-                    extracted[i] - extracted[i + 1] >= 2 for i in range(len(extracted) - 1)
-                )
-                maj_ok = maj_ok and list(remainder) == sorted(remainder, reverse=True)
-                maj_ok = maj_ok and sorted(extracted + remainder) == sorted(part)
-            report.check("majuscule_structure").record(maj_ok, label)
-
-            alpha, nu = gamma_inverse(lam)
-            report.check("roundtrip").record(gamma_forward(alpha, nu) == lam, label)
-            report.check("section_agreement").record(
-                alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right, label
-            )
-    return report
+    cases = ((lam,) for k in range(1, max_len + 1)
+             for lam in combinations_with_replacement(values, k))
+    return _sweep(report, ("lambda",), cases, checks)
 
 
 def oracle_sweep(n_max: int, entry_bound: int) -> SweepReport:
@@ -494,29 +500,20 @@ def oracle_sweep(n_max: int, entry_bound: int) -> SweepReport:
     when the window grows by 2, and the distinguished-diagram search must
     return exactly the diagram algorithm's left output.
     """
-    report = SweepReport(label=f"oracle sweep n<={n_max}, |nu_i|<={entry_bound}")
-    for alpha, nu in omega_pairs(n_max, entry_bound):
-        report.cases += 1
-        label = f"alpha={list(alpha.parts)}, nu={list(nu)}"
+
+    def checks(alpha, nu):
         window = default_window(alpha)
         rho2 = two_rho(alpha)
-
         mu = alg_A(alpha, nu)
-        alg_norm = norm_sq(a + r for a, r in zip(mu, rho2))
+        norm = norm_sq(a + r for a, r in zip(mu, rho2))
         m1 = min_norm_over_fillings(alpha, nu, window)
-        report.check("min_norm_agreement").record(
-            m1 == alg_norm, label, f"fillings give {m1}, algorithm gives {alg_norm}"
-        )
+        yield "min_norm_agreement", m1 == norm, f"fillings give {m1}, algorithm gives {norm}"
         m2 = min_norm_over_fillings(alpha, nu, window + 2)
-        report.check("window_stability").record(
-            m1 == m2, label, f"window {window} gives {m1}, window {window + 2} gives {m2}"
-        )
-
+        detail = f"window {window} gives {m1}, window {window + 2} gives {m2}"
+        yield "window_stability", m1 == m2, detail
         found = distinguished_fillings(alpha, nu, window)
-        report.check("uniqueness").record(
-            len(found) == 1, label, f"found {len(found)} distinguished diagrams"
-        )
-        report.check("matches_algorithm").record(
-            found == [alg_W(alpha.parts, nu, -1).left], label
-        )
-    return report
+        yield "uniqueness", len(found) == 1, f"found {len(found)} distinguished diagrams"
+        yield "matches_algorithm", found == [alg_W(alpha.parts, nu, -1).left]
+
+    report = SweepReport(label=f"oracle sweep n<={n_max}, |nu_i|<={entry_bound}")
+    return _sweep(report, ("alpha", "nu"), omega_pairs(n_max, entry_bound), checks)
