@@ -6,10 +6,10 @@ a JSON-ready record (`enumerate`: an iterator of them).  `--format json` prints
 `{"input": ..., "result": ...}`; text renders each record as it is produced, so
 `enumerate` streams.  `enumerate` lists the fillings of one pair (`--alpha`,
 `--nu`, `--window`) or the (alpha, nu) pairs up to a size (`--n-max`,
-`--entry-bound`); a flag of the other mode, or only one of `--alpha` and
-`--nu`, is a usage error.  Exit codes: 0 success, 1 verification failure, 2
-parse, usage or validation error or an answer too large to build, 141
-(128 + SIGPIPE) when the reader closes stdout early.
+`--entry-bound`, default 2); a flag of the other mode, or only one of
+`--alpha` and `--nu`, is a usage error.  Exit codes: 0 success, 1
+verification failure, 2 parse, usage or validation error or an answer too
+large to build, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 import argparse
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--window", type=int, default=None,
                       help="half-width of the filling window (default: rows + columns)")
     enum.add_argument("--n-max", type=int, default=None)
-    enum.add_argument("--entry-bound", type=int, default=2)
+    enum.add_argument("--entry-bound", type=int, default=None,
+                      help="bound on |nu_i| with --n-max (default: 2)")
 
     for command in sub.choices.values():
         command.add_argument("--format", choices=("text", "json"), default="text")
@@ -133,11 +134,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     # two modes, each with its own flags: fillings of one pair (--alpha, --nu
-    # and --window), or (alpha, nu) pairs (--n-max); --entry-bound has a
-    # default, so its use with fillings cannot be told apart and is ignored
+    # and --window), or (alpha, nu) pairs (--n-max and --entry-bound)
     one_pair = (args.alpha, args.nu, args.window) != (None, None, None)
     if one_pair and args.n_max is not None:
         raise ValueError("enumerate takes --n-max without --alpha, --nu or --window")
+    if one_pair and args.entry_bound is not None:
+        raise ValueError("enumerate takes --entry-bound without --alpha, --nu or --window")
     if one_pair and (args.alpha is None or args.nu is None):
         raise ValueError("enumerate needs both --alpha and --nu to list fillings")
     if one_pair:
@@ -150,8 +152,9 @@ def _cmd_enumerate(args) -> int:
               lambda rows: ";".join(" ".join(map(str, row)) for row in rows))
         return 0
     if args.n_max is not None:
-        pairs = (_pair_record(a.parts, nu) for a, nu in omega_pairs(args.n_max, args.entry_bound))
-        _emit(args, {"n_max": args.n_max, "entry_bound": args.entry_bound}, pairs, _render_pair)
+        bound = 2 if args.entry_bound is None else args.entry_bound
+        pairs = (_pair_record(a.parts, nu) for a, nu in omega_pairs(args.n_max, bound))
+        _emit(args, {"n_max": args.n_max, "entry_bound": bound}, pairs, _render_pair)
         return 0
     raise ValueError("enumerate needs either --alpha and --nu, or --n-max")
 

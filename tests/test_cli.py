@@ -232,6 +232,16 @@ def test_enumerate_omega_pairs(capsys):
     assert len(lines) == 3 + 3 + 6
 
 
+def test_enumerate_omega_pairs_bound_entries_by_2_by_default(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n-max", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["input"] == {"n_max": 2, "entry_bound": 2}
+    assert payload["result"] == [
+        {"alpha": list(alpha), "nu": list(nu)} for alpha, nu in omega_pairs(2, 2)
+    ]
+
+
 def test_enumerate_prints_each_pair_as_it_is_produced(capsys, monkeypatch):
     def watched(n_max, entry_bound):
         for i, item in enumerate(omega_pairs(n_max, entry_bound)):
@@ -263,8 +273,9 @@ def test_enumerate_requires_arguments(capsys):
     ["--alpha", "2"],
     ["--nu", "1", "--window", "0"],
     ["--window", "3"],
+    ["--alpha", "1", "--nu", "0", "--entry-bound", "5"],
 ], ids=["alpha-with-n-max", "nu-with-n-max", "pair-with-n-max", "window-with-n-max",
-        "alpha-alone", "nu-without-alpha", "window-alone"])
+        "alpha-alone", "nu-without-alpha", "window-alone", "entry-bound-with-pair"])
 def test_enumerate_refuses_flags_of_the_other_mode(capsys, argv):
     # one mode lists the fillings of one pair, the other the pairs up to --n-max
     code, out, err = run(capsys, "enumerate", *argv)

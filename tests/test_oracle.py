@@ -350,6 +350,63 @@ def test_oracle_sweep_small():
     }
 
 
+def _counts(report):
+    return report.cases, [(name, c.cases) for name, c in report.checks.items()]
+
+
+def _failures(report):
+    return {name: c.first_failure for name, c in report.checks.items() if not c.ok}
+
+
+def test_inverse_sweep_names_each_failing_weight(monkeypatch):
+    # two checks fail on two weights: each names its own
+    clean = inverse_roundtrip_sweep(2, 1)
+    forward, section = lvbij.oracle.gamma_forward, lvbij.oracle.alg_B
+    wrong = {(1, 0): (9,)}
+    monkeypatch.setattr(lvbij.oracle, "gamma_forward",
+                        lambda alpha, nu: wrong.get(forward(alpha, nu), forward(alpha, nu)))
+    monkeypatch.setattr(lvbij.oracle, "alg_B",
+                        lambda lam, eps: section((1,) if lam == (0, -1) else lam, eps))
+    report = inverse_roundtrip_sweep(2, 1)
+    assert _failures(report) == {"roundtrip": "lambda=[1, 0]",
+                                 "section_agreement": "lambda=[0, -1]"}
+    assert _counts(report) == _counts(clean)
+
+
+@pytest.mark.parametrize("name, wrong, failures", [
+    ("alg_A", lambda alg_A: lambda alpha, nu: (2,) if nu == (1,) else alg_A(alpha, nu),
+     {"min_norm_agreement": "alpha=[1], nu=[1]: fillings give 1, algorithm gives 4"}),
+    ("min_norm_over_fillings",
+     lambda m: lambda alpha, nu, w: m(alpha, nu, w) + (nu == (0, 0) and w > alpha.ell + alpha.s),
+     {"window_stability": "alpha=[1, 1], nu=[0, 0]: window 3 gives 2, window 5 gives 3"}),
+    ("is_distinguished", lambda d: lambda X, parity: X.rows != ((1,),) and d(X, parity),
+     {"uniqueness": "alpha=[1], nu=[1]: found 0 distinguished diagrams",
+      "matches_algorithm": "alpha=[1], nu=[1]"}),
+], ids=["min-norm", "window", "uniqueness"])
+def test_oracle_sweep_names_a_failing_input_and_its_detail(monkeypatch, name, wrong, failures):
+    # each check fails on one input; the others, and every count, are as in a clean sweep
+    clean = oracle_sweep(2, 1)
+    monkeypatch.setattr(lvbij.oracle, name, wrong(getattr(lvbij.oracle, name)))
+    report = oracle_sweep(2, 1)
+    assert _failures(report) == failures
+    assert _counts(report) == _counts(clean)
+
+
+def test_roundtrip_sweep_names_the_permutation_that_fails(monkeypatch):
+    clean = roundtrip_sweep(2, 1, extended=True)
+    diagram = lvbij.oracle.alg_W
+    monkeypatch.setattr(lvbij.oracle, "alg_W", lambda beta, xi, eps: diagram(
+        [1, 1], [0, 0], eps) if list(xi) == [-1, 1] else diagram(beta, xi, eps))
+    report = roundtrip_sweep(2, 1, extended=True)
+    assert _failures(report) == {
+        "permutation_invariance": "alpha=[1, 1], nu=[1, -1]: permuted to beta=[1, 1], xi=[-1, 1]"
+    }
+    # two adjacency records per case, and two permutations per case of more than one row
+    assert _counts(report) == _counts(clean)
+    assert report.checks["adjacency"].cases == 2 * report.cases
+    assert report.checks["permutation_invariance"].cases == 2 * 6
+
+
 def test_window_stability_invariant_small():
     for alpha, nu in omega_pairs(4, 2):
         window = default_window(alpha)
