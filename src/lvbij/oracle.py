@@ -13,10 +13,10 @@ it meets the conditions of `is_distinguished` that the rows above it already
 decide.  Both searches return what the plain enumeration returns;
 `tests/test_oracle.py` checks them against it.  The three sweeps grind
 through every small input checking the advertised identities: each is its
-bounds, its cases and a generator of checks per case, and all three share
-one loop, `_sweep`, which counts the cases, records the checks and formats
-a case's label only when one of its checks fails.  The public functions
-check their bounds and windows with the helpers of `core`.
+bounds, its cases and a generator of (name, ok, detail) check records per
+case, and one loop, `_sweep`, builds their reports, counts the cases,
+records the checks and formats a case's label only once a check fails.  The
+public functions check their bounds and windows with the helpers of `core`.
 """
 
 from collections import Counter
@@ -390,20 +390,20 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep(report: SweepReport, fields: tuple[str, ...], cases, checks) -> SweepReport:
-    """The sweeps' one loop.  Each case is a tuple of sequences, named by
-    `fields`, and checks(*case) yields (check name, ok) or (check name, ok,
-    detail); each is recorded in turn.  The case's label, each field with
-    its sequence as a list, is formatted only once one of its checks fails.
+def _sweep(label: str, fields: tuple[str, ...], cases, checks) -> SweepReport:
+    """The sweeps' one loop, which builds the report it fills.  Each case is
+    a tuple of sequences, named by `fields`; checks(*case) yields one (check
+    name, ok, detail) record per check, detail "" if none.  A case's label,
+    each field with its sequence as a list, is formatted once a check fails.
     """
+    report = SweepReport(label)
     for case in cases:
         report.cases += 1
-        label = ""
-        for check in checks(*case):
-            name, ok = check[0], check[1]  # indexed: unpacking *detail costs a list
-            if not ok and not label:
-                label = ", ".join(f"{field}={list(seq)}" for field, seq in zip(fields, case))
-            report.check(name).record(ok, label, *check[2:])
+        case_label = ""
+        for name, ok, detail in checks(*case):
+            if not ok and not case_label:
+                case_label = ", ".join(f"{field}={list(seq)}" for field, seq in zip(fields, case))
+            report.check(name).record(ok, case_label, detail)
     return report
 
 
@@ -427,23 +427,22 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
         gam = dom(m + r for m, r in zip(mu, rho2))
         pair = alg_W(alpha.parts, nu, -1)
         X, Y = pair.left, pair.right
-        yield "kappa_recovery", kappa(X) == nu
+        yield "kappa_recovery", kappa(X) == nu, ""
         hx = h_weight(X)
-        yield "norm_agreement", (
-            norm_sq(a + r for a, r in zip(hx, rho2)) == norm_sq(a + r for a, r in zip(mu, rho2))
-        )
-        yield "eta_agreement", eta(Y) == gam
-        yield "distinguished_odd", is_distinguished(X, "odd")
-        yield "roundtrip", gamma_inverse(gam) == (alpha, nu)
+        norm_x = norm_sq(a + r for a, r in zip(hx, rho2))
+        yield "norm_agreement", norm_x == norm_sq(a + r for a, r in zip(mu, rho2)), ""
+        yield "eta_agreement", eta(Y) == gam, ""
+        yield "distinguished_odd", is_distinguished(X, "odd"), ""
+        yield "roundtrip", gamma_inverse(gam) == (alpha, nu), ""
         if not extended:
             return
         ex = e_map(X)
-        yield "pair_coherence", ex == Y
-        yield "adjacency", _adjacent_steps_ok(Y.rows, -1)
-        yield "shift_compat", eta(ex) == dom(a + r for a, r in zip(hx, rho2))
+        yield "pair_coherence", ex == Y, ""
+        yield "adjacency", _adjacent_steps_ok(Y.rows, -1), ""
+        yield "shift_compat", eta(ex) == dom(a + r for a, r in zip(hx, rho2)), ""
         pair_plus = alg_W(alpha.parts, nu, 1)
-        yield "distinguished_even", is_distinguished(pair_plus.left, "even")
-        yield "adjacency", _adjacent_steps_ok(pair_plus.right.rows, 1)
+        yield "distinguished_even", is_distinguished(pair_plus.left, "even"), ""
+        yield "adjacency", _adjacent_steps_ok(pair_plus.right.rows, 1), ""
         if alpha.ell > 1:
             pairs = list(zip(alpha.parts, nu))
             for shuffled in (pairs[::-1], pairs[1:] + pairs[:1]):
@@ -452,8 +451,8 @@ def roundtrip_sweep(n_max: int, entry_bound: int, extended: bool = False) -> Swe
                 same = alg_W(beta, xi, -1) == pair and alg_W(beta, xi, 1) == pair_plus
                 yield "permutation_invariance", same, f"permuted to beta={beta}, xi={xi}"
 
-    report = SweepReport(label=f"roundtrip sweep n<={n_max}, |nu_i|<={entry_bound}")
-    return _sweep(report, ("alpha", "nu"), omega_pairs(n_max, entry_bound), checks)
+    return _sweep(f"roundtrip sweep n<={n_max}, |nu_i|<={entry_bound}", ("alpha", "nu"),
+                  omega_pairs(n_max, entry_bound), checks)
 
 
 def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
@@ -469,7 +468,7 @@ def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
         structure_ok = structure_ok and all(
             parts[t][-1] - parts[t + 1][0] >= 2 for t in range(len(parts) - 1)
         )
-        yield "clump_structure", structure_ok
+        yield "clump_structure", structure_ok, ""
         maj_ok = True
         for part in parts:
             extracted, remainder = majuscule_extract(part, -1)
@@ -478,18 +477,18 @@ def inverse_roundtrip_sweep(max_len: int, entry_bound: int) -> SweepReport:
             )
             maj_ok = maj_ok and list(remainder) == sorted(remainder, reverse=True)
             maj_ok = maj_ok and sorted(extracted + remainder) == sorted(part)
-        yield "majuscule_structure", maj_ok
+        yield "majuscule_structure", maj_ok, ""
         alpha, nu = gamma_inverse(lam)
-        yield "roundtrip", gamma_forward(alpha, nu) == lam
-        yield "section_agreement", alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right
+        yield "roundtrip", gamma_forward(alpha, nu) == lam, ""
+        yield "section_agreement", alg_B(lam, -1) == alg_W(alpha.parts, nu, -1).right, ""
 
     max_len = _check_bound("max_len", max_len)
     entry_bound = _check_bound("entry_bound", entry_bound)
-    report = SweepReport(label=f"inverse sweep len<={max_len}, |entry|<={entry_bound}")
     values = range(entry_bound, -entry_bound - 1, -1)
     cases = ((lam,) for k in range(1, max_len + 1)
              for lam in combinations_with_replacement(values, k))
-    return _sweep(report, ("lambda",), cases, checks)
+    return _sweep(f"inverse sweep len<={max_len}, |entry|<={entry_bound}", ("lambda",),
+                  cases, checks)
 
 
 def oracle_sweep(n_max: int, entry_bound: int) -> SweepReport:
@@ -513,7 +512,7 @@ def oracle_sweep(n_max: int, entry_bound: int) -> SweepReport:
         yield "window_stability", m1 == m2, detail
         found = distinguished_fillings(alpha, nu, window)
         yield "uniqueness", len(found) == 1, f"found {len(found)} distinguished diagrams"
-        yield "matches_algorithm", found == [alg_W(alpha.parts, nu, -1).left]
+        yield "matches_algorithm", found == [alg_W(alpha.parts, nu, -1).left], ""
 
-    report = SweepReport(label=f"oracle sweep n<={n_max}, |nu_i|<={entry_bound}")
-    return _sweep(report, ("alpha", "nu"), omega_pairs(n_max, entry_bound), checks)
+    return _sweep(f"oracle sweep n<={n_max}, |nu_i|<={entry_bound}", ("alpha", "nu"),
+                  omega_pairs(n_max, entry_bound), checks)
