@@ -9,6 +9,17 @@ rows; `branch_plan` is the public view of one node, the record it hands on.
 The left diagram is the column-shift preimage of Y, X = e_inverse(Y).  Input
 is checked with the helpers of `core`, and the nodes trust it.
 
+A node's block of X is its iota shifted by one constant.  The rows of a
+node at column j form a contiguous block of that column, in position
+order: the top node holds every row, a branch is a run of its node's
+positions, and a row that drops out of a node reaches no further column.
+Let A and B count the rows of column j above and below the block, so the
+column has height h = A + ell + B.  Row p of the node (p = 0, 1, ...) gets
+the Y entry iota_p + ell - 2p - 1, and e_inverse takes h - 2(A + p) - 1
+off the entry at position A + p of the column, which leaves iota_p + A - B.
+At the top node A = B = 0, so the first column of X is iota itself;
+`tests/test_diagram_algorithm.py` pins that.
+
 A node hands on only its fed branches, those that carry a row of length
 > 1.  A branch with no such row adds nothing to the correction's counts
 `total` and `before`, and has no row to correct.  With one fed branch,

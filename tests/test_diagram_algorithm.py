@@ -10,6 +10,7 @@ from lvbij import (
     column_seq,
     concat,
     dom,
+    e_inverse,
     e_map,
     eta,
     gamma_via_diagrams,
@@ -294,6 +295,22 @@ def test_pair_coherence_and_kappa_recovery():
             pair = alg_W(alpha.parts, nu, eps)
             assert e_map(pair.left) == pair.right
         assert kappa(alg_W(alpha.parts, nu, -1).left) == nu
+
+
+def test_left_first_column_is_iota_and_the_pair_is_coherent():
+    # the identity of the module docstring at the top node, where no row lies
+    # above or below the block: X's first column is iota itself
+    rng = random.Random(2028)
+    for _ in range(2000):
+        ell = rng.randint(1, 9)
+        alpha = [rng.randint(1, 6) for _ in range(ell)]
+        nu = [rng.randint(-8, 8) for _ in range(ell)]
+        for eps in (-1, 1):
+            pair = alg_W(alpha, nu, eps)
+            assert tuple(row[0] for row in pair.left.rows) == branch_plan(alpha, nu, eps).iota, (
+                alpha, nu, eps)
+            assert e_inverse(pair.right) == pair.left, (alpha, nu, eps)
+            assert e_map(pair.left) == pair.right, (alpha, nu, eps)
 
 
 def test_multiset_conservation():

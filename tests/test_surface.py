@@ -104,6 +104,23 @@ def test_private_names_taken_from_sibling_modules():
     }
 
 
+def test_only_the_sweep_loop_builds_a_report_and_counts_its_cases():
+    # the three sweeps share oracle._sweep: it alone constructs a SweepReport
+    # and counts its cases, so no sweep grows a loop of its own again
+    builds, counts = [], []
+    for top in _tree("oracle").body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SweepReport":
+                builds.append(top.name)
+            elif (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
+                  and node.target.attr == "cases"):
+                counts.append(top.name)
+    assert builds == ["_sweep"]
+    assert counts == ["_sweep"]
+
+
 def test_every_module_parses_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10: feature_version makes
     # the parser refuse later grammar, such as except* (3.11)
