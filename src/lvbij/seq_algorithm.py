@@ -62,7 +62,8 @@ orders its rows by (-nu, index), which is index order wherever nu is weakly
 decreasing along the run, as a dominant nu is; so the queue, head last, is
 the run reversed.
 
-The residual nu stays dominant, so every stage of `alg_A` takes that path.
+The residual nu stays dominant, so every stage of Algorithm A, in `alg_A`,
+`alg_A_stages` and `gamma_forward` alike, takes that path.
 With eps = -1, y = nu_h + D for the head h of the class of length a:
 D depends on the picks made, not on which row is the head, and a pick of a
 shorter row of length L adds 2*(a - L) to it, so D never falls.  Let rows
@@ -77,14 +78,6 @@ nu_i - mu_i >= nu_j - mu_j: once every part has lost a box, the survivors
 of the run are again a run, and their residual is again weakly decreasing.
 (On 40 000 seeded dominant inputs, 359 191 runs of two or more rows were
 set up, and none was out of order.)
-
-`alg_A_stages` also accepts a nu that is not dominant.  The setup is chosen
-once per call, by the public function that checked the input: `alg_A` and
-`gamma_forward` take the run setup at every stage, and `alg_A_stages` takes
-the sorting setup at every stage when nu is not dominant.  Sorting each block
-once at the boundary and mapping sigma back would not give the same table:
-residuals that become equal at a later stage would break their tie by the
-permuted index instead of the row index.
 """
 
 from collections.abc import Iterator
@@ -95,16 +88,13 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import (
     two_rho,
     validate_omega_pair,
-    _as_partition,
     _ceil_div,
     _check_eps,
     _check_int,
     _check_permutation,
     _check_rows,
     _dom,
-    _int_tuple,
     _inverse_permutation,
-    _is_dominant,
     _length_counts,
     _min_overlaps,
     _shown,
@@ -294,14 +284,13 @@ class Stage(NamedTuple):
     mu: tuple[int, ...]
 
 
-def _stages(alpha: tuple[int, ...], nu: tuple[int, ...], dominant: bool) -> Iterator[tuple]:
+def _stages(alpha: tuple[int, ...], nu: tuple[int, ...]) -> Iterator[tuple]:
     # Yields (alpha, nu, at, mu, count) batches, each standing for count stages
     # with the same block: count 1 while two or more rows are live, then the
     # lone row's balanced split (module docstring) in at most two batches.  A
-    # dominant nu stays dominant, so the call's setup serves every stage
+    # dominant nu stays dominant, so the run setup serves every stage
     while len(alpha) > 1:
-        mu, at = (_pick(-1, nu, _run_classes(alpha, nu)) if dominant
-                  else _rank_and_fill(-1, alpha, nu))
+        mu, at = _pick(-1, nu, _run_classes(alpha, nu))
         yield alpha, nu, at, mu, 1
         # each row loses its block entry; alpha is weakly decreasing, so its
         # rows of length 1 come last, and they drop out with residual 0
@@ -322,20 +311,18 @@ def _stages(alpha: tuple[int, ...], nu: tuple[int, ...], dominant: bool) -> Iter
 
 
 def _alg_A(alpha: tuple[int, ...], nu: tuple[int, ...]) -> tuple[int, ...]:
-    stages = _stages(alpha, nu, True)  # validate_omega_pair has checked nu
+    stages = _stages(alpha, nu)  # validate_omega_pair has checked nu
     return tuple(chain.from_iterable(mu * count for _, _, _, mu, count in stages))
 
 
 def alg_A_stages(alpha, nu) -> tuple[Stage, ...]:
     """Stage table of Algorithm A; one stage per column of alpha.
 
-    Accepts any nu of the right length, dominant with respect to alpha or not.
+    Takes the pairs alg_A takes: nu must be dominant with respect to alpha.
     """
-    alpha = _as_partition(alpha)
-    nu = _int_tuple(nu)
-    dominant = _is_dominant(nu, alpha)  # checks nu's length too
+    alpha, nu = validate_omega_pair(alpha, nu)
     out = []
-    for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu, dominant):
+    for stage_alpha, stage_nu, at, mu, count in _stages(alpha.parts, nu):
         out.append(Stage(stage_alpha, stage_nu, _inverse_permutation(at), mu))
         if count > 1:
             # a lone row's batch: each later stage has one box and m of nu less

@@ -288,8 +288,6 @@ def test_alg_A_examples():
     assert alg_A([4, 3, 2, 1, 1], [15, 14, 9, 4, 4]) == (4, 4, 4, 4, 4, 5, 5, 5, 5, 4, 2)
     assert alg_A([3, 2, 2, 1], [15, 8, 8, 4]) == (4, 4, 4, 4, 5, 4, 4, 6)
     assert alg_A([2], [7]) == (4, 3)
-    # the stage table also runs on nu that is not dominant with respect to alpha
-    assert [s.mu for s in alg_A_stages([2, 2], [1, 2])] == [(1, 1), (1, 0)]
 
 
 def test_alg_A_validation():
@@ -299,6 +297,12 @@ def test_alg_A_validation():
         alg_A([2, 2], [1, 2])
     with pytest.raises(ValueError):
         alg_A([2, 2], [1, 2, 3])
+    # the stage table takes the pairs alg_A takes, and refuses the rest alike
+    with pytest.raises(ValueError) as refused:
+        alg_A([2, 2], [1, 2])
+    with pytest.raises(ValueError, match="not dominant") as stage_refused:
+        alg_A_stages([2, 2], [1, 2])
+    assert str(stage_refused.value) == str(refused.value)
 
 
 def test_alg_A_iter_examples():
@@ -350,7 +354,8 @@ def per_column_stages(alpha, nu):
 
 def lone_row_cases(rng):
     # single rows whose entry leaves remainder 0, 1 or a - 1 (negative
-    # entries included), a longest row that outlives the rest, and staircases
+    # entries included), a longest row that outlives the rest, and staircases;
+    # nu is dominant throughout
     cases = []
     for a in (1, 2, 3, 7, 40, 301):
         for r in sorted({0, 1 % a, a - 1}):
@@ -358,7 +363,7 @@ def lone_row_cases(rng):
                 cases.append(((a,), (q * a + r,)))
     for alpha in ((9, 3, 3), (300, 2), (17, 1), (12, 5, 5, 1), (60, 59)):
         for _ in range(6):
-            cases.append((alpha, tuple(rng.randint(-40, 40) for _ in alpha)))
+            cases.append((alpha, dominant_per_block(alpha, [rng.randint(-40, 40) for _ in alpha])))
     for s in range(1, 16):
         cases.append((tuple(range(s, 0, -1)), tuple(rng.randint(-5, 5) for _ in range(s))))
     return cases
@@ -396,12 +401,12 @@ NON_DOMINANT = ((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2))
 
 
 def test_non_dominant_stage_table_breaks_ties_by_row_index():
-    # At the third stage rows 4 and 6 of the run of 1s tie at -1 and are
-    # picked by row index; sorting each block of equal parts once at the start
-    # and mapping sigma back would pick row 6 first, giving sigma
-    # (4, 3, 1, 6, 2, 5) there
-    stages = alg_A_stages(*NON_DOMINANT)
-    assert [(s.alpha, s.nu, s.sigma, s.mu) for s in stages] == [
+    # ranking and column_seq take any nu, so a stage table outside Omega is
+    # composed from them.  At the third stage rows 4 and 6 of the run of 1s
+    # tie at -1 and are picked by row index; sorting each block of equal parts
+    # once at the start and mapping sigma back would pick row 6 first, giving
+    # sigma (4, 3, 1, 6, 2, 5) there
+    assert per_column_stages(*NON_DOMINANT) == [
         ((6, 5, 5, 3, 3, 3, 1, 1, 1), (-2, 2, 6, -2, 1, -1, 4, 0, -2),
          (6, 4, 2, 8, 3, 7, 1, 5, 9), (4, 0, 0, 0, 0, 0, 0, 0, -2)),
         ((5, 4, 4, 2, 2, 2), (-2, 2, 6, -2, 1, -1), (4, 3, 2, 6, 1, 5), (1, 1, 0, 0, 0, -1)),
@@ -420,28 +425,19 @@ def dominant_per_block(alpha, nu):
 
 
 def test_stage_tables_match_ranking_and_column_seq():
-    # For a dominant nu alg_A_stages reads its classes off the runs of alpha,
-    # and ranking and column_seq sort their rows: the two setups must agree at
-    # every stage.  Half the small inputs have nu out of order on some run,
-    # and there both sides run the sorting setup; the staircase has one row
-    # per class, the few-sizes family four classes of 25 rows
+    # alg_A_stages reads its classes off the runs of alpha, and ranking and
+    # column_seq sort their rows: the two setups must agree at every stage.
+    # nu is made dominant per block; the staircase has one row per class,
+    # the few-sizes family four classes of 25 rows
     rng = random.Random(73)
     cases = []
-    for k in range(2000):
-        while True:
-            ell = rng.randint(1, 12)
-            alpha = tuple(sorted((rng.randint(1, 6) for _ in range(ell)), reverse=True))
-            nu = tuple(rng.randint(-9, 9) for _ in range(ell))
-            if k % 2:
-                cases.append((alpha, dominant_per_block(alpha, nu)))
-                break
-            if not is_dominant_wrt(nu, alpha):
-                cases.append((alpha, nu))
-                break
+    for _ in range(2000):
+        ell = rng.randint(1, 12)
+        alpha = tuple(sorted((rng.randint(1, 6) for _ in range(ell)), reverse=True))
+        cases.append((alpha, dominant_per_block(alpha, [rng.randint(-9, 9) for _ in alpha])))
     few = tuple(size for lo in (14, 10, 6, 2) for size in [rng.randint(lo, lo + 3)] * 25)
     for alpha in (tuple(range(50, 0, -1)), few):
-        nu = tuple(rng.randint(-9, 9) for _ in alpha)
-        cases += [(alpha, dominant_per_block(alpha, nu)), (alpha, nu)]
+        cases.append((alpha, dominant_per_block(alpha, [rng.randint(-9, 9) for _ in alpha])))
     for alpha, nu in cases:
         for stage in alg_A_stages(alpha, nu):
             assert stage.sigma == ranking(-1, stage.alpha, stage.nu), (alpha, nu)
@@ -468,9 +464,10 @@ def test_residual_nu_stays_dominant_at_every_stage():
             assert is_dominant_wrt(stage.nu, stage.alpha), (alpha, nu, stage)
 
 
-def test_only_a_non_dominant_stage_table_takes_the_sorting_setup(monkeypatch):
-    # a dominant input takes the run setup at every stage, whichever public
-    # function received it; only alg_A_stages on a non-dominant nu sorts
+def test_no_algorithm_A_call_takes_the_sorting_setup(monkeypatch):
+    # every stage of every Algorithm A call takes the run setup, whichever
+    # public function received the input; a nu outside Omega is refused
+    # before any stage is set up
     class Sorted(Exception):
         pass
 
@@ -482,7 +479,7 @@ def test_only_a_non_dominant_stage_table_takes_the_sorting_setup(monkeypatch):
         gamma_forward(alpha, nu)
         alg_A(alpha, nu)
         alg_A_stages(alpha, nu)
-    with pytest.raises(Sorted):
+    with pytest.raises(ValueError, match="not dominant"):
         alg_A_stages(*NON_DOMINANT)
 
 
