@@ -17,8 +17,8 @@ Let A and B count the rows of column j above and below the block, so the
 column has height h = A + ell + B.  Row p of the node (p = 0, 1, ...) gets
 the Y entry iota_p + ell - 2p - 1, and e_inverse takes h - 2(A + p) - 1
 off the entry at position A + p of the column, which leaves iota_p + A - B.
-At the top node A = B = 0, so the first column of X is iota itself;
-`tests/test_diagram_algorithm.py` pins that.
+At the top node A = B = 0, so the first column of X is iota itself.
+`tests/test_diagram_algorithm.py` pins the identity at every node.
 
 A node hands on only its fed branches, those that carry a row of length
 > 1.  A branch with no such row adds nothing to the correction's counts

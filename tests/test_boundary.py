@@ -166,6 +166,8 @@ HUGE_CASES = [
     ("Partition.sign", lambda: Partition([-HUGE]), r"positive, got <16610-bit negative integer>"),
     ("validate_omega_pair", lambda: validate_omega_pair([2, 2], [0, HUGE]),
      r"nu=\[0, <16610-bit integer>\] is not dominant with respect to alpha=\[2, 2\]"),
+    ("alg_A_stages", lambda: alg_A_stages([2, 2], [0, HUGE]),
+     r"nu=\[0, <16610-bit integer>\] is not dominant with respect to alpha=\[2, 2\]"),
     ("alg_W", lambda: alg_W([0, HUGE], [1, 1]), r"row lengths must be positive, got \[0, <16610-bit integer>\]"),
     ("row_survival", lambda: row_survival([2, 1], [1, 2], [0, HUGE]),
      r"iota must be weakly decreasing, got \[0, <16610-bit integer>\]"),

@@ -176,25 +176,24 @@ def test_branch_correction_over_many_rows_of_few_lengths():
             assert plan.sub_nu_hat == tuple(expected)
 
 
-def public_worklist(alpha, nu, eps):
-    # Algorithm W from the public ranking and column_seq alone: each node
-    # appends its first column to its rows of Y (position p of ell shifted by
-    # ell - 2p - 1), cuts its positions at the runs of iota, keeps the rows of
-    # length > 1 and hands each non-empty branch on with the opposite rounding
-    # mode.  A row of length a in branch x, a - 1 for the child, loses
-    # min(a - 1, b - 1) for each row b of the branches before x and gains it
-    # for each row of the branches after x.
-    y_rows = [[] for _ in alpha]
-    work = [(alpha, nu, eps, list(range(len(alpha))))]
+def public_nodes(alpha, nu, eps):
+    # Algorithm W's nodes from the public ranking and column_seq alone, each
+    # as (j, rows, iota): it fills column j of its rows of Y, in position
+    # order.  A node cuts its positions at the runs of iota, keeps the rows
+    # of length > 1 and hands each non-empty branch on to column j + 1 with
+    # the opposite rounding mode.  A row of length a in branch x, a - 1 for
+    # the child, loses min(a - 1, b - 1) for each row b of the branches
+    # before x and gains it for each row of the branches after x.  A parent
+    # comes before its children.
+    work = [(alpha, nu, eps, list(range(len(alpha))), 1)]
     while work:
-        sub_alpha, sub_nu, sub_eps, rows = work.pop()
-        ell = len(sub_alpha)
+        sub_alpha, sub_nu, sub_eps, rows, j = work.pop()
         sigma = ranking(sub_eps, sub_alpha, sub_nu)
         iota = column_seq(sub_eps, sub_alpha, sub_nu, sigma)
+        yield j, rows, iota
         at = {p - 1: i for i, p in enumerate(sigma)}
         branches = []
         for p, value in enumerate(iota):
-            y_rows[rows[p]].append(value + ell - 2 * p - 1)
             if p == 0 or value != iota[p - 1]:
                 branches.append([])
             if sub_alpha[at[p]] > 1:
@@ -209,7 +208,18 @@ def public_worklist(alpha, nu, eps):
                         sign = -1 if xp < x else 1
                         v += sign * sum(min(a, b) for b, _, _ in other)
                 child_nu.append(v)
-            work.append(([a for a, _, _ in branch], child_nu, -sub_eps, [r for _, _, r in branch]))
+            work.append(([a for a, _, _ in branch], child_nu, -sub_eps,
+                         [r for _, _, r in branch], j + 1))
+
+
+def public_worklist(alpha, nu, eps):
+    # Algorithm W's right diagram from public_nodes: each node appends its
+    # iota to its rows of Y, position p of ell shifted by ell - 2p - 1
+    y_rows = [[] for _ in alpha]
+    for _, rows, iota in public_nodes(alpha, nu, eps):
+        ell = len(rows)
+        for p, value in enumerate(iota):
+            y_rows[rows[p]].append(value + ell - 2 * p - 1)
     return WeightDiagram(y_rows)
 
 
@@ -311,6 +321,27 @@ def test_left_first_column_is_iota_and_the_pair_is_coherent():
                 alpha, nu, eps)
             assert e_inverse(pair.right) == pair.left, (alpha, nu, eps)
             assert e_map(pair.left) == pair.right, (alpha, nu, eps)
+
+
+def test_left_block_of_every_node_is_its_iota_shifted():
+    # the identity of the module docstring at every node, walked with no call
+    # into _node: a node's rows are the rows of column j from position A to
+    # A + ell, and their entries of X in column j are iota + A - B, with B
+    # the rows of the column below the block
+    rng = random.Random(2029)
+    for _ in range(2000):
+        ell = rng.randint(1, 9)
+        alpha = [rng.randint(1, 6) for _ in range(ell)]
+        nu = [rng.randint(-8, 8) for _ in range(ell)]
+        for eps in (-1, 1):
+            X = alg_W(alpha, nu, eps).left
+            for j, rows, iota in public_nodes(alpha, nu, eps):
+                column = [r for r, row in enumerate(X.rows) if len(row) >= j]
+                A = column.index(rows[0])
+                B = len(column) - A - len(rows)
+                case = (alpha, nu, eps, j, rows)
+                assert column[A:A + len(rows)] == rows, case
+                assert [X.rows[r][j - 1] for r in rows] == [v + A - B for v in iota], case
 
 
 def test_multiset_conservation():

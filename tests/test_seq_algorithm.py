@@ -293,13 +293,11 @@ def test_alg_A_examples():
 def test_alg_A_validation():
     with pytest.raises(ValueError):
         alg_A([2, 3], [1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         alg_A([2, 2], [1, 2])
     with pytest.raises(ValueError):
         alg_A([2, 2], [1, 2, 3])
     # the stage table takes the pairs alg_A takes, and refuses the rest alike
-    with pytest.raises(ValueError) as refused:
-        alg_A([2, 2], [1, 2])
     with pytest.raises(ValueError, match="not dominant") as stage_refused:
         alg_A_stages([2, 2], [1, 2])
     assert str(stage_refused.value) == str(refused.value)
